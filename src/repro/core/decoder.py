@@ -275,10 +275,11 @@ class MLPDecoder(_ScratchMixin, Module):
         The gather-rerank kernel for approximate screening: ``cand_rows``
         holds per-query candidate operands of shape ``(Q, K, width)``
         gathered from the per-query shortlists, so one vectorised pass
-        replaces ``Q`` single-query :meth:`score_block` calls.  The fold
-        and the reduction mirror ``score_block`` exactly — same
-        accumulation order, pairwise ``sum`` for float64, ones-GEMV for
-        float32 — so reranked probabilities are bitwise what exact mode
+        replaces ``Q`` single-query :meth:`score_block` calls.  Every
+        dtype reduces with the pairwise row ``sum``, so a row's logit never
+        depends on how many rows share its gather (shortlists are padded
+        to a common length); for float64 that is ``score_block``'s own
+        reduction, so reranked probabilities are bitwise what exact mode
         reports for the same pairs.
         """
         orient = "as_right" if reverse else "as_left"
@@ -292,17 +293,10 @@ class MLPDecoder(_ScratchMixin, Module):
         num_queries, num_rows = cand_max.shape[:2]
         out = np.empty((num_queries, num_rows), dtype=dtype)
         out[:] = const[:, None]
-        blas_reduce = dtype == np.dtype(np.float32)
         for cand_part, g_part, ufunc in ((cand_max, g_max, np.maximum),
                                          (cand_min, g_min, np.minimum)):
-            width = cand_part.shape[2]
-            if not width:
-                continue
-            folded = ufunc(cand_part, g_part[:, None, :])
-            if blas_reduce:
-                out += folded @ np.ones(width, dtype=dtype)
-            else:
-                out += folded.sum(axis=-1)
+            if cand_part.shape[2]:
+                out += ufunc(cand_part, g_part[:, None, :]).sum(axis=-1)
         return out
 
     # ------------------------------------------------------------------
@@ -455,6 +449,21 @@ class DotDecoder(_ScratchMixin, Module):
                     scratch[:len(block)].sum(axis=1)
         return out
 
+    def score_rows(self, query_proj: dict[str, np.ndarray],
+                   cand_rows: dict[str, np.ndarray],
+                   reverse: bool = False) -> np.ndarray:
+        """``(Q, K)`` products where query ``qi`` scores its own ``K`` rows.
+
+        The gather-rerank kernel (see :meth:`MLPDecoder.score_rows`):
+        ``cand_rows["emb"]`` is ``(Q, K, d)``.  Same per-row products and
+        pairwise row sums as :meth:`score_block`, so the results are
+        bitwise what it reports for the same pairs.
+        """
+        queries = query_proj["emb"]
+        cand = cand_rows["emb"]
+        dtype = np.result_type(_serving_dtype(queries), _serving_dtype(cand))
+        return np.multiply(cand, queries[:, None, :], dtype=dtype).sum(axis=-1)
+
     def prefilter_block(self, query_proj: dict[str, np.ndarray],
                         cand_proj: dict[str, np.ndarray]) -> np.ndarray:
         """Approximate-mode scores: one ``(B, d) @ (d, nq)`` GEMM per block.
@@ -502,6 +511,7 @@ class DotScreenKernel(_PicklableKernel):
     supports_prefilter = DotDecoder.supports_prefilter
     needs_sketch = DotDecoder.needs_sketch
     score_block = DotDecoder.score_block
+    score_rows = DotDecoder.score_rows
     prefilter_block = DotDecoder.prefilter_block
 
 

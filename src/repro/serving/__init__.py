@@ -44,7 +44,7 @@ re-opening instead of being excluded.
 
 from .cache import (FINGERPRINT_MODES, EmbeddingCache, LatencyWindow,
                     ServiceStats, weights_fingerprint)
-from .executor import ParallelShardExecutor, exact_score_fn
+from .executor import ParallelShardExecutor
 from .faults import (FAULT_ACTIONS, CrashPoint, CrashPolicy, FaultInjected,
                      FaultPolicy, FaultRule, corrupt_payload)
 from .gateway import (DeadlineExceeded, GatewayClosed, GatewayOverloaded,
@@ -56,7 +56,7 @@ from .remote import (CircuitBreaker, FrameError, RemoteShardError,
                      RemoteShardExecutor, ShardWorker, recv_message,
                      send_message)
 from .service import DDIScreeningService, ScreenHit
-from .shards import CatalogShard, ShardedEmbeddingCatalog
+from .shards import CatalogShard, ShardedEmbeddingCatalog, exact_score_fn
 from .store import MappedShardCatalog, ShardIntegrityError, ShardStore
 from .topk import TopKAccumulator, merge_top_k, top_k_desc
 

@@ -1,25 +1,21 @@
-"""Multi-process shard executor for the screening engine.
+"""Process-pool placement of the shard plan.
 
-:class:`ParallelShardExecutor` fans the per-shard streaming top-k of a
-persisted catalog (:class:`~repro.serving.store.ShardStore`) out to a
-process pool and reduces the per-shard winners with the engine's
-deterministic cross-shard merge.  The design keeps the parallel plan
+:class:`ParallelShardExecutor` runs the per-shard exact screens of a
+persisted catalog (:class:`~repro.serving.store.ShardStore`) in a process
+pool.  Like every placement it normalises the request with
+:class:`~repro.serving.shards.ShardPlan`, runs
+:func:`~repro.serving.shards.screen_exact_shard` once per shard and reduces
+through :func:`~repro.serving.shards.finalize_screen`, so its answers are
 bitwise-identical to the serial in-memory engine:
 
 - Workers never receive catalog arrays.  The pool initializer hands each
   worker the *manifest path*; a worker assigned shard *i* memory-maps
   shard *i*'s files itself (``np.load(..., mmap_mode="r")``).  The only
-  per-task payload is the picklable weight-free screening kernel
-  (:func:`repro.core.decoder.make_screen_kernel`), the query-side
-  projections (a few rows), and the per-query padded-k budget — a few
-  kilobytes per screen.
-- Every worker runs :func:`repro.serving.shards.screen_shard` — the same
-  function the serial engine runs over its in-memory views — so per-shard
-  results are bitwise-equal by construction, and the parent's
-  :func:`~repro.serving.shards.finalize_screen` reduce (merge under the
-  total (score desc, index asc) order, exclusion filter, truncate) is the
-  same code in both plans.  ``Pool.map`` preserves shard order, so the
-  merge sees shards in exactly the serial order.
+  per-task payload is the :class:`~repro.serving.shards.ExactRequest`: the
+  weight-free kernel kind, the query-side projections (a few rows), and
+  the per-query padded budgets — a few kilobytes per screen.
+- ``Pool.map`` preserves shard order, so the merge sees shards in exactly
+  the serial order.
 
 The pool prefers the ``fork`` start method when the platform offers it
 (workers inherit the imported interpreter; startup is milliseconds) and
@@ -32,10 +28,10 @@ Worker death is survived, not propagated: the pool is a
 killed mid-task (OOM killer, SIGKILL, segfault) instead of hanging.  On
 breakage the executor discards the pool, rebuilds it once, and re-runs
 the whole screen; if the rebuilt pool breaks too it degrades to serial
-execution over the parent's memory-mapped store — same
-:func:`~repro.serving.shards.screen_shard`, same bytes, so the degraded
-answer is still bitwise-identical, just slower.  :attr:`stats` counts
-rebuilds and serial fallbacks so operators can see the degradation.
+execution of the same per-shard task over the parent's memory-mapped
+store, so the degraded answer is still bitwise-identical, just slower.
+:attr:`stats` counts rebuilds and serial fallbacks so operators can see
+the degradation.
 """
 
 from __future__ import annotations
@@ -45,32 +41,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..nn.functional import stable_sigmoid
-from .shards import (finalize_screen, normalize_exclude, normalize_top_k,
-                     screen_shard)
+from ..core.decoder import kernel_kind
+from .shards import (ExactRequest, ShardPlan, finalize_screen,
+                     screen_exact_shard)
 from .store import ShardStore
-
-
-def exact_score_fn(kernel, query_proj: dict,
-                   two_sided: bool = False) -> Callable:
-    """The exact-mode probability kernel, shared by every execution plan.
-
-    Serial in-memory screening, serial screening over a memory-mapped
-    catalog, and pool workers all build their ``score_block`` callback
-    here, from the same kernel object type — which is what makes their
-    scores bitwise-comparable.
-    """
-    def exact_probs(_emb_block, proj_block):
-        probs = stable_sigmoid(kernel.score_block(query_proj, proj_block))
-        if two_sided:
-            probs = 0.5 * (probs + stable_sigmoid(
-                kernel.score_block(query_proj, proj_block, reverse=True)))
-        return probs
-    return exact_probs
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +71,10 @@ def _init_worker(manifest_path: str, mmap_mode: str | None) -> None:
     _WORKER_STORE = ShardStore(manifest_path, mmap_mode=mmap_mode)
 
 
-def _screen_shard_task(task: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One unit of pool work: stream one memory-mapped shard's top-k."""
-    shard_id, block_size, kernel, query_proj, two_sided, num_queries, \
-        padded = task
-    shard = _WORKER_STORE.open_shard(shard_id)
-    score = exact_score_fn(kernel, query_proj, two_sided)
-    return screen_shard(shard, block_size, score, num_queries, padded)
+def _screen_shard_task(shard_id: int, request: ExactRequest
+                       ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One unit of pool work: one memory-mapped shard's exact top-k."""
+    return screen_exact_shard(_WORKER_STORE.open_shard(shard_id), request)
 
 
 class ParallelShardExecutor:
@@ -168,44 +143,34 @@ class ParallelShardExecutor:
         (probability desc, index asc), exclusions removed; ``top_k`` may
         be one shared budget or a per-query sequence.
         """
-        block_size = block_size or self._store.block_size
-        top_ks = normalize_top_k(top_k, num_queries)
-        excludes = normalize_exclude(exclude, num_queries)
-        padded = [k + e.size if k > 0 else 0
-                  for k, e in zip(top_ks, excludes)]
-        tasks = [(shard_id, block_size, kernel, query_proj, two_sided,
-                  num_queries, padded)
-                 for shard_id in range(self._store.num_shards)]
-        per_shard = self._run_tasks(tasks)
-        return finalize_screen(per_shard, padded, excludes, top_ks)
+        plan = ShardPlan.build(num_queries, top_k, exclude)
+        request = ExactRequest(kernel_kind(kernel), query_proj, plan.padded,
+                               block_size or self._store.block_size,
+                               bool(two_sided))
+        return finalize_screen(self._run(request), plan)
 
-    def _run_tasks(self, tasks: list[tuple]
-                   ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    def _run(self, request: ExactRequest
+             ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         """Pool map with survival: rebuild once on a broken pool, then
         degrade to serial execution over the parent's mapped store.
 
-        ``ProcessPoolExecutor.map`` preserves task order, and every
-        recovery path screens the same shard bytes with the same
-        ``screen_shard`` — results are bitwise-identical whichever plan
-        answered.
+        ``ProcessPoolExecutor.map`` preserves shard order, and every
+        recovery path runs the same per-shard task over the same shard
+        bytes — results are bitwise-identical whichever plan answered.
         """
+        shard_ids = range(self._store.num_shards)
         for round_index in range(2):
             try:
                 return list(self._ensure_pool().map(
-                    _screen_shard_task, tasks))
+                    _screen_shard_task, shard_ids,
+                    [request] * len(shard_ids)))
             except BrokenProcessPool:
                 self._discard_pool()
                 if round_index == 0:
                     self.stats["pool_rebuilds"] += 1
         self.stats["serial_fallbacks"] += 1
-        per_shard = []
-        for (shard_id, block_size, kernel, query_proj, two_sided,
-             num_queries, padded) in tasks:
-            score = exact_score_fn(kernel, query_proj, two_sided)
-            per_shard.append(screen_shard(
-                self._store.open_shard(shard_id), block_size, score,
-                num_queries, padded))
-        return per_shard
+        return [screen_exact_shard(self._store.open_shard(shard_id), request)
+                for shard_id in shard_ids]
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""

@@ -1,30 +1,30 @@
-"""Multi-host shard screening: TCP shard workers + a fault-tolerant client.
+"""Remote placement of the shard plan: TCP shard workers + failover client.
 
-PR 4 made per-shard top-k travel by *manifest path* with a deterministic
-cross-shard merge — but every execution plan still lived in one process
-tree on one host.  This module adds the missing transport for "catalog
-bigger than one machine", shaped like DGL's distributed serving stack
-(dumb shard-holding workers, a smart client):
+The remote tier takes the engine's shard plan across machines, shaped like
+DGL's distributed serving stack (dumb shard-holding workers, a smart
+client):
 
 - :class:`ShardWorker` — a stdlib-only ``socketserver`` TCP server that
   opens shards from a :class:`~repro.serving.store.ShardStore` manifest
   and answers per-shard ``screen`` requests plus ``health``/``manifest``
-  probes.  Workers hold no model weights: requests carry the weight-free
-  kernel *kind* and the precomputed query projections, and every worker
-  runs the same :func:`~repro.serving.shards.screen_shard` the serial
-  engine runs, so per-shard results are bitwise-equal by construction.
-- :class:`RemoteShardExecutor` — the client-side mirror of
-  :class:`~repro.serving.executor.ParallelShardExecutor`: per-shard
-  fan-out over worker connections with per-request timeouts, bounded
-  exponential backoff with deterministic jitter, automatic failover of a
-  failed shard request to the next replica, a per-worker circuit breaker
-  (consecutive-failure trip, half-open probe recovery), and — when every
-  replica is down — local memory-mapped execution of that shard.  The
-  merged results are **bitwise-identical** to the serial in-memory engine
-  under any fault schedule, because every path (every worker, and the
-  local fallback) scores the same shard bytes with the same kernel and
-  the reduce is the engine's deterministic
-  :func:`~repro.serving.shards.finalize_screen`.
+  probes.  Workers hold no model weights: a request carries an
+  :class:`~repro.serving.shards.ExactRequest` (the weight-free kernel
+  *kind*, the query projections and the per-query padded budgets), and
+  the worker answers it with
+  :func:`~repro.serving.shards.screen_exact_shard`, the per-shard task
+  the process pool runs too, so per-shard results are bitwise-equal by
+  construction.
+- :class:`RemoteShardExecutor` — the client: it normalises a screen with
+  :class:`~repro.serving.shards.ShardPlan`, fans the per-shard requests
+  out over worker connections with per-request timeouts, bounded
+  exponential backoff with deterministic jitter, failover to the next
+  replica and a per-worker circuit breaker (consecutive-failure trip,
+  half-open probe recovery), checks every reply against the shard it
+  asked for, and — when every replica is down — runs the same per-shard
+  task on the locally mapped store.  The reduce is the engine's
+  :func:`~repro.serving.shards.finalize_screen`, so the merged results
+  are **bitwise-identical** to the serial in-memory engine under any
+  fault schedule.
 
 Wire format (no third-party deps): each frame is a 4-byte big-endian
 header length, a JSON header, and the raw C-order bytes of each array the
@@ -55,11 +55,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.decoder import kernel_kind, make_kernel
-from .executor import exact_score_fn
+from ..core.decoder import kernel_kind
 from .faults import FaultInjected, FaultPolicy, corrupt_payload
-from .shards import (finalize_screen, normalize_exclude, normalize_top_k,
-                     screen_shard, validate_shard_results)
+from .shards import (ExactRequest, ShardPlan, finalize_screen,
+                     screen_exact_shard, validate_shard_results)
 from .store import ShardStore
 
 _HEADER_STRUCT = struct.Struct("!I")
@@ -215,8 +214,8 @@ class ShardWorker:
     The worker owns no model — only the persisted shard bytes.  Each
     ``screen`` request names a shard, a kernel *kind*, per-query padded-k
     budgets, and carries the precomputed query projections; the worker
-    streams that shard's blockwise top-k with the very same
-    :func:`~repro.serving.shards.screen_shard` every other execution plan
+    answers with the very same
+    :func:`~repro.serving.shards.screen_exact_shard` the process pool
     runs.  ``health`` and ``manifest`` probes let clients check liveness
     and prove the worker serves the same store (fingerprint + catalog
     digest) before trusting its numbers.
@@ -355,21 +354,19 @@ class ShardWorker:
                     "status": "error",
                     "meta": {"message": "injected worker fault"}})
                 return True
-        num_queries = int(meta["num_queries"])
-        padded = [int(k) for k in meta["padded"]]
-        kernel = make_kernel(str(meta["kernel"]))
-        query_proj = _unflatten_arrays(arrays)
-        score = exact_score_fn(kernel, query_proj, bool(meta["two_sided"]))
-        results = screen_shard(self.store.open_shard(shard),
-                               int(meta["block_size"]), score,
-                               num_queries, padded)
+        request = ExactRequest(
+            kind=str(meta["kernel"]), query_proj=_unflatten_arrays(arrays),
+            padded=tuple(int(k) for k in meta["padded"]),
+            block_size=int(meta["block_size"]),
+            two_sided=bool(meta["two_sided"]))
+        results = screen_exact_shard(self.store.open_shard(shard), request)
         out = {}
         for qi, (indices, scores) in enumerate(results):
             out[f"idx_{qi}"] = indices
             out[f"sc_{qi}"] = scores
         send_message(connection,
                      {"status": "ok",
-                      "meta": {"shard": shard, "num_queries": num_queries}},
+                      "meta": {"shard": shard, "num_queries": len(results)}},
                      out, _corrupt=rule is not None
                      and rule.action == "corrupt")
         return True
@@ -473,29 +470,16 @@ class _Endpoint:
     mismatched: bool = False   # serves a different store — never use
 
 
-@dataclass(frozen=True)
-class _ScreenCall:
-    """Everything one screen fans out: shared by every shard task."""
-
-    kernel: object             # the local kernel object (for the fallback)
-    kind: str                  # its wire name
-    query_proj: dict           # nested projections (fallback scoring)
-    flat_proj: dict            # flattened projections (the wire payload)
-    num_queries: int
-    padded: tuple[int, ...]
-    block_size: int
-    two_sided: bool
-
-
 class RemoteShardExecutor:
     """Fault-tolerant fan-out of per-shard top-k over remote shard workers.
 
-    Mirrors :class:`~repro.serving.executor.ParallelShardExecutor`'s
-    ``screen`` contract exactly, so the service can route a screen to
-    either interchangeably.  Determinism under faults: every replica and
-    the local fallback score the same shard bytes with the same kernel,
-    responses are CRC-checked and structurally validated before entering
-    the merge, and the reduce is the engine's deterministic
+    Same ``screen`` contract as
+    :class:`~repro.serving.executor.ParallelShardExecutor`, so the service
+    can route a screen to either interchangeably.  Determinism under
+    faults: every replica and the local fallback run the same per-shard
+    task over the same shard bytes, responses are CRC-checked and checked
+    against the shard they answer before entering the merge, and the
+    reduce is the engine's deterministic
     :func:`~repro.serving.shards.finalize_screen` — so the merged top-k
     is bitwise-identical to the serial in-memory engine no matter which
     replicas answered, how many retries it took, or whether any shard
@@ -711,28 +695,22 @@ class RemoteShardExecutor:
         ``(indices, probabilities)`` pair per query, sorted by
         (probability desc, index asc), exclusions removed.
         """
-        block_size = block_size or self._store.block_size
-        top_ks = normalize_top_k(top_k, num_queries)
-        excludes = normalize_exclude(exclude, num_queries)
-        padded = tuple(k + e.size if k > 0 else 0
-                       for k, e in zip(top_ks, excludes))
-        call = _ScreenCall(
-            kernel=kernel, kind=kernel_kind(kernel),
-            query_proj=query_proj,
-            flat_proj=_flatten_arrays(query_proj),
-            num_queries=num_queries, padded=padded,
-            block_size=int(block_size), two_sided=bool(two_sided))
+        plan = ShardPlan.build(num_queries, top_k, exclude)
+        request = ExactRequest(kernel_kind(kernel), query_proj, plan.padded,
+                               int(block_size or self._store.block_size),
+                               bool(two_sided))
         shard_ids = range(self._store.num_shards)
         if self._store.num_shards == 1 or not self._endpoints:
-            per_shard = [self._screen_shard(call, sid) for sid in shard_ids]
+            per_shard = [self._screen_shard(request, sid)
+                         for sid in shard_ids]
         else:
             pool = self._ensure_threads()
             per_shard = list(pool.map(
-                lambda sid: self._screen_shard(call, sid), shard_ids))
-        return finalize_screen(per_shard, list(padded), excludes, top_ks)
+                lambda sid: self._screen_shard(request, sid), shard_ids))
+        return finalize_screen(per_shard, plan)
 
     # -- per-shard retry / failover loop --------------------------------
-    def _screen_shard(self, call: _ScreenCall, shard: int
+    def _screen_shard(self, request: ExactRequest, shard: int
                       ) -> list[tuple[np.ndarray, np.ndarray]]:
         last_error: Exception | None = None
         previous_address = None
@@ -747,7 +725,7 @@ class RemoteShardExecutor:
                 time.sleep(self._backoff_s(shard, attempt - 1))
             previous_address = endpoint.address
             try:
-                result = self._request_screen(endpoint, call, shard)
+                result = self._request_screen(endpoint, request, shard)
             except FrameError as error:
                 self._bump("corrupt_responses")
                 last_error = self._record_failure(endpoint, error)
@@ -759,7 +737,9 @@ class RemoteShardExecutor:
                 return result
         if self.local_fallback:
             self._bump("local_fallbacks")
-            return self._screen_local(call, shard)
+            # Same per-shard task over the same bytes, so falling back is
+            # invisible in the results — only in the stats.
+            return screen_exact_shard(self._store.open_shard(shard), request)
         raise RemoteShardError(
             f"shard {shard}: every remote attempt failed and local "
             f"fallback is disabled") from last_error
@@ -799,7 +779,7 @@ class RemoteShardExecutor:
             f"{self._seed}:{shard}:{exponent}".encode()) / 0xFFFFFFFF
         return base * (0.5 + 0.5 * token)
 
-    def _request_screen(self, endpoint: _Endpoint, call: _ScreenCall,
+    def _request_screen(self, endpoint: _Endpoint, request: ExactRequest,
                         shard: int) -> list[tuple[np.ndarray, np.ndarray]]:
         if self.fault_policy is not None:
             rule = self.fault_policy.decide("screen", shard)
@@ -818,38 +798,27 @@ class RemoteShardExecutor:
         self._bump("remote_requests")
         header = {"op": "screen",
                   "meta": {"shard": shard,
-                           "block_size": call.block_size,
-                           "kernel": call.kind,
-                           "two_sided": call.two_sided,
-                           "num_queries": call.num_queries,
-                           "padded": list(call.padded)}}
-        reply, arrays = self._roundtrip(endpoint, header, call.flat_proj)
+                           "block_size": request.block_size,
+                           "kernel": request.kind,
+                           "two_sided": request.two_sided,
+                           "num_queries": len(request.padded),
+                           "padded": list(request.padded)}}
+        reply, arrays = self._roundtrip(endpoint, header,
+                                        _flatten_arrays(request.query_proj))
         if reply.get("status") != "ok":
             raise RemoteShardError(
                 f"worker {endpoint.address} failed shard {shard}: "
                 f"{(reply.get('meta') or {}).get('message')}")
         try:
             results = [(arrays[f"idx_{qi}"], arrays[f"sc_{qi}"])
-                       for qi in range(call.num_queries)]
+                       for qi in range(len(request.padded))]
         except KeyError as error:
             raise RemoteShardError(
                 f"worker {endpoint.address} reply is missing arrays "
                 f"({error})") from None
-        return validate_shard_results(results, call.num_queries,
-                                      call.padded,
-                                      num_drugs=self._store.num_drugs)
-
-    def _screen_local(self, call: _ScreenCall, shard: int
-                      ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Last-resort plan: screen the shard from the locally mapped store.
-
-        Same ``screen_shard`` over the same bytes, so falling back is
-        invisible in the results — only in :attr:`stats`.
-        """
-        score = exact_score_fn(call.kernel, call.query_proj,
-                               call.two_sided)
-        return screen_shard(self._store.open_shard(shard), call.block_size,
-                            score, call.num_queries, call.padded)
+        spec = self._store.manifest["shards"][shard]
+        return validate_shard_results(results, request.padded,
+                                      int(spec["start"]), int(spec["stop"]))
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,10 @@ from ..hypergraph import DrugHypergraphBuilder, Hypergraph
 from ..nn import Tensor
 from ..nn.functional import stable_sigmoid
 from .cache import EmbeddingCache, ServiceStats, weights_fingerprint
-from .executor import ParallelShardExecutor, exact_score_fn
+from .executor import ParallelShardExecutor
 from .precision import dequantize_int8, resolve_precision
 from .remote import RemoteShardExecutor
-from .shards import ShardedEmbeddingCatalog, normalize_top_k
+from .shards import ShardedEmbeddingCatalog, ShardPlan, exact_score_fn
 from .store import ShardStore
 
 
@@ -58,23 +58,6 @@ class ScreenHit:
     index: int
     drug_id: str
     probability: float
-
-
-def _slice_query(query_proj: dict, qi: int) -> dict:
-    """One query's single-row slice of a (possibly nested) projections dict.
-
-    The dot decoder's query projections are flat arrays; the MLP decoder
-    nests per-side operand dicts (``{"as_left": {"const", "g_max", ...}}``)
-    under the side names, with flat extras (the ``"sketch"`` operand)
-    alongside.  Both shapes slice to a one-query view here.
-    """
-    sliced = {}
-    for name, value in query_proj.items():
-        if isinstance(value, dict):
-            sliced[name] = {k: v[qi:qi + 1] for k, v in value.items()}
-        else:
-            sliced[name] = value[qi:qi + 1]
-    return sliced
 
 
 class DDIScreeningService:
@@ -694,13 +677,8 @@ class DDIScreeningService:
                             self._corpus.edge_partition))
             rows = [corpus_emb.numpy()]
             if self._extension_nodes:
-                node_ids = np.concatenate(self._extension_nodes)
-                edge_ids = np.repeat(
-                    np.arange(len(self._extension_nodes), dtype=np.int64),
-                    [len(n) for n in self._extension_nodes])
-                ext = model.encoder.encode_edges_subset(
-                    context, node_ids, edge_ids, len(self._extension_nodes))
-                rows.append(ext.numpy())
+                rows.append(self._encode_subset(context,
+                                                self._extension_nodes))
             # Detach the context: serving never backprops, and a live context
             # would pin the whole corpus-encode autograd graph in the cache.
             detached = EncoderContext(layer_node_feats=tuple(
@@ -714,6 +692,28 @@ class DDIScreeningService:
                 projections=model.candidate_projections(embeddings))
         finally:
             model.train(was_training)
+
+    def _encode_subset(self, context: EncoderContext,
+                       node_lists: list[np.ndarray]) -> np.ndarray:
+        """Embed drugs (one token-id array each) against a frozen context.
+
+        Runs in eval mode and returns the rows at the serving dtype;
+        each drug's hyperedge reduces independently, so a batch embeds
+        bitwise like one drug at a time.
+        """
+        node_ids = (np.concatenate(node_lists) if node_lists
+                    else np.zeros(0, dtype=np.int64))
+        edge_ids = np.repeat(np.arange(len(node_lists), dtype=np.int64),
+                             [len(n) for n in node_lists])
+        model = self._model
+        was_training = model.training
+        model.eval()
+        try:
+            rows = model.encoder.encode_edges_subset(
+                context, node_ids, edge_ids, len(node_lists)).numpy()
+        finally:
+            model.train(was_training)
+        return rows.astype(self._dtype, copy=False)
 
     # ------------------------------------------------------------------
     # Incremental registration
@@ -770,21 +770,8 @@ class DDIScreeningService:
         node_lists = self._tokenize_batch(smiles_list, allow_unknown)
 
         self._ensure_fresh()
-        node_ids = (np.concatenate(node_lists) if node_lists
-                    else np.zeros(0, dtype=np.int64))
-        edge_ids = np.repeat(np.arange(len(node_lists), dtype=np.int64),
-                             [len(n) for n in node_lists])
-        model = self._model
-        was_training = model.training
-        model.eval()
-        try:
-            rows = model.encoder.encode_edges_subset(
-                self._cache.context, node_ids, edge_ids,
-                len(node_lists)).numpy()
-        finally:
-            model.train(was_training)
-        rows = rows.astype(self._dtype, copy=False)
-        projections = model.candidate_projections(rows)
+        rows = self._encode_subset(self._cache.context, node_lists)
+        projections = self._model.candidate_projections(rows)
         cached = self._cache.projections
         if (cached is not None and "sketch" in cached
                 and self._cache.sketch_factors is not None):
@@ -1127,10 +1114,11 @@ class DDIScreeningService:
         Exact mode streams probability blocks through per-shard top-k
         selection; scores are bitwise-identical to
         :meth:`HyGNN.screen_probs` over the full catalog for every block
-        size, shard layout, query-batch size, and execution plan (serial
-        in-memory, serial memory-mapped, multi-process).  ``top_k`` may be
-        per-query: each query keeps its own accumulator, so heterogeneous
-        budgets in one batch reproduce the homogeneous results bitwise.
+        size, shard count, query-batch size, and placement (in-memory,
+        memory-mapped, process pool, remote).  ``top_k`` may be
+        per-query: queries are selected and reduced independently, so
+        heterogeneous budgets in one batch reproduce the homogeneous
+        results bitwise.
         Approximate mode prefilters each block with one cheap GEMM (dot:
         the inner products themselves; MLP: a low-rank sketch of the
         split-weight operands), then exact-reranks the
@@ -1139,7 +1127,6 @@ class DDIScreeningService:
         decoder = self._model.decoder
         kernel = self._kernel()
         num_queries = len(query_embeddings)
-        top_ks = normalize_top_k(top_k, num_queries)
         two_sided = symmetric and not decoder.is_symmetric
         use_parallel = self._use_parallel(parallel, approx)
         query_proj = decoder.project_queries(
@@ -1161,9 +1148,9 @@ class DDIScreeningService:
             catalog, prefilter, rerank_rows = self._approx_setup(
                 kernel, query_proj)
             results, rescored = self._approx_screen(
-                catalog, kernel, query_proj, num_queries, top_ks,
-                exclude, approx_oversample, two_sided,
-                prefilter, rerank_rows)
+                catalog, kernel, query_proj,
+                ShardPlan.build(num_queries, top_k, exclude),
+                approx_oversample, two_sided, prefilter, rerank_rows)
             # The shortlist scan is one cheap comparison per candidate,
             # not an exact pair score; only the rescores are exact.
             stats.prefilter_pairs += num_queries * self.num_drugs
@@ -1177,20 +1164,20 @@ class DDIScreeningService:
             if parallel is None and self._remote is not None \
                     and self._store is not None:
                 results = self._remote.screen(
-                    kernel, query_proj, num_queries, top_ks,
+                    kernel, query_proj, num_queries, top_k,
                     block_size=self.block_size, exclude=exclude,
                     two_sided=two_sided)
                 stats.remote_screens += num_queries
             elif use_parallel:
                 results = self._get_executor().screen(
-                    kernel, query_proj, num_queries, top_ks,
+                    kernel, query_proj, num_queries, top_k,
                     block_size=self.block_size, exclude=exclude,
                     two_sided=two_sided)
                 stats.parallel_screens += num_queries
             else:
                 results = self._catalog().screen(
                     exact_score_fn(kernel, query_proj, two_sided),
-                    num_queries, top_ks, exclude=exclude)
+                    num_queries, top_k, exclude=exclude)
             stats.pairs_scored += eligible * (2 if two_sided else 1)
         stats.screens += num_queries
         return [[ScreenHit(index=int(j), drug_id=self._drug_ids[j],
@@ -1279,79 +1266,47 @@ class DDIScreeningService:
 
         return catalog, prefilter, rerank_rows
 
-    def _batched_rerank(self, kernel, query_proj, shortlist, top_ks,
-                        two_sided, rerank_rows):
-        """One-pass exact rerank of every query's shortlist, when possible.
-
-        Requires a decoder with a gather-rerank kernel (``score_rows``)
-        and uniform shortlist lengths (heterogeneous ``top_k``/``exclude``
-        batches fall back to the per-query loop — returns ``None``).  The
-        candidate rows of all shortlists are gathered with one fancy-index
-        call and scored as a ``(Q, K, width)`` batch; probabilities are
-        bitwise identical to the per-query path, so which path ran is
-        unobservable in the results.
-        """
-        if not hasattr(kernel, "score_rows"):
-            return None
-        lengths = {len(ci) for ci, _ in shortlist}
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        num_rows = lengths.pop()
-        num_queries = len(shortlist)
-        flat = np.concatenate([ci for ci, _ in shortlist])
-        _emb_rows, proj_rows = rerank_rows(flat)
-        rows3d = {name: value.reshape(num_queries, num_rows,
-                                      *value.shape[1:])
-                  for name, value in proj_rows.items()}
-        probs = stable_sigmoid(kernel.score_rows(query_proj, rows3d))
-        if two_sided:
-            probs = 0.5 * (probs + stable_sigmoid(
-                kernel.score_rows(query_proj, rows3d, reverse=True)))
-        results = []
-        for qi, (cand_indices, _approx_scores) in enumerate(shortlist):
-            select = np.lexsort((cand_indices,
-                                 -probs[qi]))[:max(top_ks[qi], 0)]
-            results.append((cand_indices[select], probs[qi][select]))
-        rescored = flat.size * (2 if two_sided else 1)
-        return results, rescored
-
-    def _approx_screen(self, catalog, kernel, query_proj, num_queries,
-                       top_ks, exclude, oversample, two_sided,
-                       prefilter, rerank_rows):
-        """Cheap-operand prefilter, then exact rerank of the survivors.
+    def _approx_screen(self, catalog, kernel, query_proj, plan: ShardPlan,
+                       oversample, two_sided, prefilter, rerank_rows):
+        """Cheap-operand prefilter, then one exact rerank of every shortlist.
 
         The shortlist pass streams ``prefilter`` scores (dot: one
         inner-product GEMM per block; MLP: the low-rank sketch GEMM, a
         forward-orientation surrogate even for symmetric screens) through
         the same top-k engine as exact mode, keeping ``top_k * oversample``
-        survivors per query.  Returns ``(results, rescored)`` where
-        ``rescored`` counts the shortlist rows that went through the exact
-        kernel.
+        survivors per query.  The rerank gathers every shortlist's rows
+        with one fancy-index call — shorter shortlists padded with row 0
+        to the longest — and scores them as one ``(Q, K)`` batch with the
+        kernel's ``score_rows`` (two-sided when the screen is), which is
+        bitwise what exact mode reports for the same pairs; the padding is
+        dropped before selection.  Returns ``(results, rescored)`` where
+        ``rescored`` counts the shortlist rows the exact kernel scored.
         """
         shortlist = catalog.screen(
-            prefilter, num_queries,
-            [max(k * oversample, k) for k in top_ks], exclude=exclude)
-        batched = self._batched_rerank(kernel, query_proj, shortlist,
-                                       top_ks, two_sided, rerank_rows)
-        if batched is not None:
-            return batched
+            prefilter, plan.num_queries,
+            [max(k * oversample, k) for k in plan.top_ks],
+            exclude=plan.excludes)
+        lengths = [len(indices) for indices, _ in shortlist]
+        gather = np.zeros((len(shortlist), max(lengths, default=0)),
+                          dtype=np.int64)
+        for qi, (indices, _approx_scores) in enumerate(shortlist):
+            gather[qi, :len(indices)] = indices
+        probs = np.zeros(gather.shape)
+        if gather.size:
+            _emb_rows, proj_rows = rerank_rows(gather.reshape(-1))
+            rows = {name: value.reshape(gather.shape + value.shape[1:])
+                    for name, value in proj_rows.items()}
+            probs = stable_sigmoid(kernel.score_rows(query_proj, rows))
+            if two_sided:
+                probs = 0.5 * (probs + stable_sigmoid(
+                    kernel.score_rows(query_proj, rows, reverse=True)))
         results = []
-        rescored = 0
-        for qi, (cand_indices, _approx_scores) in enumerate(shortlist):
-            if not len(cand_indices):
-                results.append((cand_indices, np.zeros(0)))
-                continue
-            emb_rows, proj_rows = rerank_rows(cand_indices)
-            rescored += len(cand_indices) * (2 if two_sided else 1)
-            qi_proj = _slice_query(query_proj, qi)
-            # Rerank with the exact kernel (two-sided when the screen is):
-            # probabilities of the survivors are what exact mode would
-            # report for them.
-            probs = exact_score_fn(kernel, qi_proj, two_sided)(
-                emb_rows, proj_rows)[0]
-            select = np.lexsort((cand_indices, -probs))[:max(top_ks[qi], 0)]
-            results.append((cand_indices[select], probs[select]))
-        return results, rescored
+        for qi, ((indices, _), top_k) in enumerate(zip(shortlist,
+                                                      plan.top_ks)):
+            row = probs[qi, :len(indices)]
+            select = np.lexsort((indices, -row))[:max(top_k, 0)]
+            results.append((indices[select], row[select]))
+        return results, sum(lengths) * (2 if two_sided else 1)
 
     def screen(self, query: int | str, top_k: int = 5,
                exclude: tuple = (), symmetric: bool = False,
@@ -1369,21 +1324,12 @@ class DDIScreeningService:
         process pool whenever a shard store is attached and
         ``num_workers > 1``; ``False`` forces in-process; ``True`` demands
         the pool (raises if no store is attached).  Every plan returns
-        bitwise-identical hits.
+        bitwise-identical hits.  A one-query :meth:`screen_batch`.
         """
-        index = self._as_query_index(query)
-        if not 0 <= index < self.num_drugs:
-            raise IndexError(f"catalog index {index} out of range")
-        self._ensure_fresh()
-        query_emb = self._cache.embeddings[index:index + 1]
-        if exclude:
-            excluded = np.union1d(self._resolve_exclude(exclude),
-                                  np.array([index], dtype=np.int64))
-        else:
-            excluded = np.array([index], dtype=np.int64)
-        return self._screen_embeddings(query_emb, top_k, [excluded],
-                                       symmetric, approx, approx_oversample,
-                                       parallel=parallel)[0]
+        return self.screen_batch(
+            [query], top_k=top_k, exclude=exclude, symmetric=symmetric,
+            approx=approx, approx_oversample=approx_oversample,
+            parallel=parallel)[0]
 
     def _normalize_exclude_arg(self, exclude,
                                num_queries: int) -> list[np.ndarray]:
@@ -1439,6 +1385,7 @@ class DDIScreeningService:
         self._ensure_fresh()
         base = self._normalize_exclude_arg(exclude, len(queries))
         per_query = [np.union1d(e, np.array([index], dtype=np.int64))
+                     if e.size else np.array([index], dtype=np.int64)
                      for e, index in zip(base, indices)]
         query_embs = self._cache.embeddings[np.asarray(indices,
                                                        dtype=np.int64)]
@@ -1485,20 +1432,7 @@ class DDIScreeningService:
             return []
         node_lists = self._tokenize_batch(list(smiles_list), allow_unknown)
         self._ensure_fresh()
-        node_ids = (np.concatenate(node_lists) if node_lists
-                    else np.zeros(0, dtype=np.int64))
-        edge_ids = np.repeat(np.arange(len(node_lists), dtype=np.int64),
-                             [len(n) for n in node_lists])
-        model = self._model
-        was_training = model.training
-        model.eval()
-        try:
-            query_embs = model.encoder.encode_edges_subset(
-                self._cache.context, node_ids, edge_ids,
-                len(node_lists)).numpy()
-        finally:
-            model.train(was_training)
-        query_embs = query_embs.astype(self._dtype, copy=False)
+        query_embs = self._encode_subset(self._cache.context, node_lists)
         empty = np.zeros(0, dtype=np.int64)
         return self._screen_embeddings(query_embs, top_k,
                                        [empty] * len(node_lists), symmetric,

@@ -1,26 +1,28 @@
-"""Sharded, blockwise catalog layout for million-drug screening.
+"""One shard plan for every placement of a catalog screen.
 
-:class:`ShardedEmbeddingCatalog` partitions a catalog's embedding matrix —
-and the precomputed candidate-side decoder projections that ride with it —
-into ``S`` shards, each scored in fixed-size blocks.  A screening query runs
-per-shard streaming top-k (:class:`~repro.serving.topk.TopKAccumulator`)
-and a deterministic cross-shard merge (:func:`~repro.serving.topk.merge_top_k`),
-so results are bitwise-identical for every ``(num_shards, block_size,
-layout)`` choice: peak scoring memory is O(block + k) per shard, never
-O(catalog).
+A screen ranks the whole catalog for a batch of queries and keeps each
+query's top-k.  The catalog is split into shards of contiguous rows, and
+every placement answers a screen in the same three steps:
 
-The default layout splits rows into contiguous ranges, which keeps every
-shard a zero-copy view of the parent arrays.  An explicit ``layout`` (any
-partition of the row indices, e.g. hash-assignment) is supported for
-distribution experiments; those shards gather their rows once at build
-time — the same copy a per-worker deployment would hold locally.
+1. :class:`ShardPlan` normalises the request once: per-query ``top_k``
+   budgets, per-query exclusion arrays, and the *padded* budget
+   ``top_k + len(exclude)`` every shard keeps.
+2. Each shard streams its rows block by block through :func:`screen_shard`
+   (one vectorised top-k selection per block for the whole query batch)
+   and returns its padded top-k per query.
+3. :func:`finalize_screen` merges the per-shard winners under the total
+   (score desc, index asc) order, drops excluded rows and truncates.
 
-The per-shard accumulate (:func:`screen_shard`) and the cross-shard reduce
-(:func:`finalize_screen`) are module-level functions, deliberately: the
-out-of-core tier (:mod:`repro.serving.store`) and the process-pool executor
-(:mod:`repro.serving.executor`) run the *same* code over memory-mapped shard
-files in worker processes, which is what makes their results bitwise-
-identical to this in-memory catalog by construction.
+Placements differ only in where step 2 runs: :class:`ShardedEmbeddingCatalog`
+runs it inline (over in-memory views, or over memory-mapped shard files as
+:class:`~repro.serving.store.MappedShardCatalog`),
+:class:`~repro.serving.executor.ParallelShardExecutor` in a process pool,
+and :class:`~repro.serving.remote.RemoteShardExecutor` on remote shard
+workers with a local fallback.  The exact-mode unit of work those three
+ship is one function, :func:`screen_exact_shard`, which builds its own
+kernel from the weight-free kernel kind of an :class:`ExactRequest`.
+Results are bitwise-identical for every block size, shard count and
+placement; peak scoring memory is O(block + k) per shard, never O(catalog).
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .topk import (TopKAccumulator, as_float_scores, batch_top_k_sets,
-                   merge_top_k)
+from ..core.decoder import make_kernel
+from ..nn.functional import stable_sigmoid
+from .topk import as_float_scores, batch_top_k_sets, merge_top_k
 
 # score_block(embeddings_block, projections_block) -> (num_queries, block) scores
 ScoreBlockFn = Callable[[np.ndarray, dict[str, np.ndarray]], np.ndarray]
@@ -80,6 +83,90 @@ def normalize_exclude(exclude, num_queries: int) -> list[np.ndarray]:
     return [shared] * num_queries
 
 
+@dataclass(frozen=True)
+class ShardPlan:
+    """One screen's per-query budgets, normalised once for every placement.
+
+    ``top_ks`` are the requested budgets, ``excludes`` the global rows to
+    drop, and ``padded`` what each shard keeps: ``top_k + len(exclude)``
+    (0 for a non-positive budget).  Exclusions are applied *after*
+    selection — the excluded rows, at most that many, can never displace
+    an eligible one — which keeps the per-block work free of membership
+    tests and is exactly equivalent to masking candidates up front.
+    """
+
+    top_ks: tuple[int, ...]
+    excludes: tuple[np.ndarray, ...]
+    padded: tuple[int, ...]
+
+    @classmethod
+    def build(cls, num_queries: int, top_k: int | Sequence[int],
+              exclude: Sequence[np.ndarray] | np.ndarray | None = None
+              ) -> "ShardPlan":
+        """``top_k`` is one shared budget or a per-query sequence;
+        ``exclude`` is one global-index array applied to every query or a
+        per-query sequence of arrays."""
+        top_ks = normalize_top_k(top_k, num_queries)
+        excludes = normalize_exclude(exclude, num_queries)
+        return cls(tuple(top_ks), tuple(excludes),
+                   tuple(k + e.size if k > 0 else 0
+                         for k, e in zip(top_ks, excludes)))
+
+    @property
+    def num_queries(self) -> int:
+        return len(self.padded)
+
+
+def exact_score_fn(kernel, query_proj: dict,
+                   two_sided: bool = False) -> Callable:
+    """The exact-mode probability kernel, shared by every placement.
+
+    Every exact screen builds its ``score_block`` callback here, from the
+    same kernel type — which is what makes their scores bitwise-comparable.
+    """
+    def exact_probs(_emb_block, proj_block):
+        probs = stable_sigmoid(kernel.score_block(query_proj, proj_block))
+        if two_sided:
+            probs = 0.5 * (probs + stable_sigmoid(
+                kernel.score_block(query_proj, proj_block, reverse=True)))
+        return probs
+    return exact_probs
+
+
+@dataclass(frozen=True)
+class ExactRequest:
+    """What every shard of one exact-mode screen is asked.
+
+    Weight-free and picklable: the kernel travels as its registry *kind*
+    (:func:`repro.core.decoder.kernel_kind`), so a request crosses a
+    process boundary or a socket as a few bytes plus the query-side
+    projections.
+    """
+
+    kind: str                 # screening-kernel registry name
+    query_proj: dict          # query-side projections (nested for the MLP)
+    padded: tuple[int, ...]   # per-query budget each shard keeps
+    block_size: int
+    two_sided: bool = False
+
+
+def screen_exact_shard(shard: "CatalogShard", request: ExactRequest
+                       ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One shard's exact-mode top-k: the unit of work placements ship.
+
+    The process pool, its serial fallback, a remote worker and the remote
+    client's local fallback all run this.  It builds its own kernel from
+    ``request.kind``: kernels keep non-reentrant scratch buffers
+    (:mod:`repro.core.decoder`), so shard calls running concurrently — a
+    remote screen's fan-out threads all falling back at once — must never
+    share one.
+    """
+    score = exact_score_fn(make_kernel(request.kind), request.query_proj,
+                           request.two_sided)
+    return screen_shard(shard, request.block_size, score,
+                        len(request.padded), request.padded)
+
+
 def iter_shard_blocks(shard: "CatalogShard", block_size: int) -> Iterator[
         tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
     """Yield ``(global_indices, embeddings, projections)`` scoring blocks."""
@@ -96,49 +183,14 @@ def screen_shard(shard: "CatalogShard", block_size: int,
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Blockwise streaming top-``padded[qi]`` over one shard, per query.
 
-    This is the unit of work a pool worker executes against a memory-mapped
-    shard; the in-memory catalog runs the identical function over its array
-    views, so both paths produce bitwise-equal per-shard results.
-
-    Contiguous shard layouts (ascending global indices — the default, and
-    every layout the service builds) take a batched path: one vectorised
-    top-k selection per block for the whole query batch instead of
-    ``num_queries`` python-level accumulator updates.  Both paths realise
-    the same (score desc, index asc) total order, so their results are
-    bitwise-identical; permuted layouts keep the per-query accumulators,
-    whose update step re-sorts each block by global index.
-    """
-    if len(shard.indices) > 1 and not np.all(
-            shard.indices[1:] > shard.indices[:-1]):
-        accumulators = [TopKAccumulator(k) for k in padded]
-        for indices, emb_block, proj_block in iter_shard_blocks(shard,
-                                                                block_size):
-            scores = np.atleast_2d(as_float_scores(
-                score_block(emb_block, proj_block)))
-            if scores.shape != (num_queries, len(indices)):
-                raise ValueError(
-                    f"score_block returned shape {scores.shape}; "
-                    f"expected ({num_queries}, {len(indices)})")
-            for qi in range(num_queries):
-                accumulators[qi].update(scores[qi], indices)
-        return [acc.result() for acc in accumulators]
-    return _screen_shard_batched(shard, block_size, score_block,
-                                 num_queries, padded)
-
-
-def _screen_shard_batched(shard: "CatalogShard", block_size: int,
-                          score_block: ScoreBlockFn, num_queries: int,
-                          padded: Sequence[int]
-                          ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Vectorised ``screen_shard`` for ascending-index shards.
-
     Streams a single ``(num_queries, running)`` candidate pool: each block
     contributes its per-row top-``kmax`` columns (one ``argpartition`` for
     the whole batch), the pool is re-sorted by global index so boundary
     ties keep the total order, and re-selected.  Selecting ``kmax =
     max(padded)`` rows for every query and truncating per query at the end
     is exact — the top ``padded[qi]`` of the total order is a prefix of
-    the top ``kmax``.
+    the top ``kmax``.  Shards hold ascending global indices (contiguous
+    row ranges), so a block's column order is its global index order.
     """
     kmax = max(padded, default=0)
     run_idx = run_sc = None
@@ -163,7 +215,7 @@ def _screen_shard_batched(shard: "CatalogShard", block_size: int,
         if pool_idx.shape[1] > kmax:
             # Arrange the pool index-ascending per row so positional ties
             # in the re-selection coincide with the (score desc, index
-            # asc) total order, exactly like TopKAccumulator.update.
+            # asc) total order.
             order = np.argsort(pool_idx, axis=1)
             pool_idx = np.take_along_axis(pool_idx, order, axis=1)
             pool_sc = np.take_along_axis(pool_sc, order, axis=1)
@@ -176,7 +228,7 @@ def _screen_shard_batched(shard: "CatalogShard", block_size: int,
     if run_idx is None:
         return [empty] * num_queries
     # Final ordering: index-ascending rows + a stable sort on descending
-    # score == the (score desc, index asc) order result() produces.
+    # score == the (score desc, index asc) total order.
     order = np.argsort(run_idx, axis=1)
     run_idx = np.take_along_axis(run_idx, order, axis=1)
     run_sc = np.take_along_axis(run_sc, order, axis=1)
@@ -188,22 +240,23 @@ def _screen_shard_batched(shard: "CatalogShard", block_size: int,
 
 
 def validate_shard_results(results: list[tuple[np.ndarray, np.ndarray]],
-                           num_queries: int, padded: Sequence[int],
-                           num_drugs: int | None = None
+                           padded: Sequence[int], start: int, stop: int
                            ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sanity-check one shard's per-query top-k before it enters the merge.
+    """Check one shard's per-query top-k against the shard it answers.
 
-    Remote workers return results over a network transport; a frame that
-    passes the checksum can still be structurally wrong (a buggy or
-    mismatched worker).  :func:`finalize_screen` assumes well-formed
-    inputs, so the client validates here — shape, dtype family, paired
-    lengths, budget ceiling, and (when ``num_drugs`` is known) index
-    range — and raises ``ValueError`` on any violation, which the caller
-    treats like any other failed request (retry / failover).
+    Remote workers answer over a network transport; a frame that passes
+    the checksum can still be wrong (a buggy or mismatched worker).  The
+    client checks every reply before it enters the merge: one pair of
+    paired 1-D arrays per query, integral indices, floating scores, at
+    most the padded budget, every index inside the requested shard's rows
+    ``[start, stop)``, and strict (score desc, index asc) order — which
+    :func:`finalize_screen` relies on and, for a single shard, does not
+    re-establish.  Raises ``ValueError`` on any violation, which the
+    caller treats like any other failed request (retry / failover).
     """
-    if len(results) != num_queries:
+    if len(results) != len(padded):
         raise ValueError(f"shard returned {len(results)} per-query results "
-                         f"for {num_queries} queries")
+                         f"for {len(padded)} queries")
     checked = []
     for qi, (indices, scores) in enumerate(results):
         indices = np.asarray(indices)
@@ -221,39 +274,40 @@ def validate_shard_results(results: list[tuple[np.ndarray, np.ndarray]],
         if len(indices) > max(padded[qi], 0):
             raise ValueError(f"query {qi}: {len(indices)} rows exceed the "
                              f"padded budget {padded[qi]}")
-        if len(indices) and (indices.min() < 0 or (
-                num_drugs is not None and indices.max() >= num_drugs)):
-            raise ValueError(f"query {qi}: candidate index out of catalog "
-                             f"range")
+        if len(indices) and (indices.min() < start
+                             or indices.max() >= stop):
+            raise ValueError(f"query {qi}: candidate index outside the "
+                             f"shard's rows [{start}, {stop})")
+        above, below = scores[:-1], scores[1:]
+        if not np.all((above > below) | ((above == below)
+                                         & (indices[:-1] < indices[1:]))):
+            raise ValueError(f"query {qi}: rows are not in (score desc, "
+                             f"index asc) order")
         checked.append((indices.astype(np.int64, copy=False), scores))
     return checked
 
 
 def finalize_screen(per_shard: list[list[tuple[np.ndarray, np.ndarray]]],
-                    padded: Sequence[int], excludes: Sequence[np.ndarray],
-                    top_k: int | Sequence[int]
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+                    plan: ShardPlan) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic cross-shard reduce: merge, filter exclusions, truncate.
 
-    ``top_k`` may be one shared budget or a per-query sequence — queries
-    are reduced independently either way, so a heterogeneous batch is
+    Queries are reduced independently, so a batch with mixed budgets is
     bitwise-identical to running each query alone with its own budget.
     """
-    top_ks = normalize_top_k(top_k, len(padded))
     results = []
-    for qi in range(len(padded)):
+    for qi, (top_k, excluded, padded) in enumerate(
+            zip(plan.top_ks, plan.excludes, plan.padded)):
         if len(per_shard) == 1:
             indices, scores = per_shard[0][qi]
         else:
             indices, scores = merge_top_k([res[qi] for res in per_shard],
-                                          padded[qi])
-        if excludes[qi].size:
+                                          padded)
+        if excluded.size:
             # Tiny membership test ((padded, E) broadcast) — np.isin's
             # dispatch overhead dwarfs the actual work at these sizes.
-            keep = ~(indices[:, None] == excludes[qi][None, :]).any(axis=1)
+            keep = ~(indices[:, None] == excluded[None, :]).any(axis=1)
             indices, scores = indices[keep], scores[keep]
-        results.append((indices[:max(top_ks[qi], 0)],
-                        scores[:max(top_ks[qi], 0)]))
+        results.append((indices[:max(top_k, 0)], scores[:max(top_k, 0)]))
     return results
 
 
@@ -270,64 +324,42 @@ class CatalogShard:
         return len(self.indices)
 
 
-def _as_partition(layout: Sequence[np.ndarray], num_rows: int) -> list[np.ndarray]:
-    parts = [np.asarray(part, dtype=np.int64).reshape(-1) for part in layout]
-    if not parts:
-        raise ValueError("layout must contain at least one shard")
-    flat = (np.concatenate(parts) if parts else
-            np.zeros(0, dtype=np.int64))
-    if len(flat) != num_rows or not np.array_equal(np.sort(flat),
-                                                   np.arange(num_rows)):
-        raise ValueError(
-            f"layout must partition the {num_rows} catalog rows exactly once")
-    return parts
-
-
 class ShardedEmbeddingCatalog:
-    """Embeddings + candidate projections partitioned for blockwise top-k."""
+    """Embeddings + candidate projections in contiguous shards, in memory.
+
+    Rows are split into ``num_shards`` contiguous ranges
+    (``np.array_split`` boundaries, the same ones a persisted
+    :class:`~repro.serving.store.ShardStore` uses), so every shard is a
+    zero-copy view of the parent arrays.
+    """
 
     def __init__(self, embeddings: np.ndarray,
                  projections: dict[str, np.ndarray] | None = None,
-                 num_shards: int = 1, block_size: int = 1024,
-                 layout: Sequence[np.ndarray] | None = None):
+                 num_shards: int = 1, block_size: int = 1024):
         embeddings = np.asarray(embeddings)
         if embeddings.ndim != 2:
             raise ValueError("embeddings must be a (num_drugs, dim) matrix")
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
         projections = dict(projections or {})
         for name, matrix in projections.items():
             if len(matrix) != len(embeddings):
                 raise ValueError(
                     f"projection {name!r} has {len(matrix)} rows for "
                     f"{len(embeddings)} catalog drugs")
-        num_rows = len(embeddings)
-        if layout is None:
-            if num_shards < 1:
-                raise ValueError("num_shards must be >= 1")
-            chunks = np.array_split(np.arange(num_rows, dtype=np.int64),
-                                    num_shards)
-            # Contiguous ranges -> every shard is a zero-copy view.
-            shards = []
-            for chunk in chunks:
-                if not len(chunk):
-                    continue
-                lo, hi = int(chunk[0]), int(chunk[-1]) + 1
-                shards.append(CatalogShard(
-                    indices=chunk,
-                    embeddings=embeddings[lo:hi],
-                    projections={k: v[lo:hi]
-                                 for k, v in projections.items()}))
-        else:
-            shards = [CatalogShard(indices=part,
-                                   embeddings=embeddings[part],
-                                   projections={k: v[part]
-                                                for k, v in projections.items()})
-                      for part in _as_partition(layout, num_rows)
-                      if len(part)]
+        self._shards = []
+        for chunk in np.array_split(np.arange(len(embeddings),
+                                              dtype=np.int64), num_shards):
+            if not len(chunk):
+                continue
+            lo, hi = int(chunk[0]), int(chunk[-1]) + 1
+            self._shards.append(CatalogShard(
+                indices=chunk, embeddings=embeddings[lo:hi],
+                projections={k: v[lo:hi] for k, v in projections.items()}))
         self._embeddings = embeddings
         self._projections = projections
-        self._shards = shards
         self.block_size = block_size
 
     # ------------------------------------------------------------------
@@ -343,21 +375,12 @@ class ShardedEmbeddingCatalog:
     def shards(self) -> list[CatalogShard]:
         return list(self._shards)
 
-    @property
-    def projections(self) -> dict[str, np.ndarray]:
-        return dict(self._projections)
-
     def rows(self, indices: np.ndarray) -> tuple[np.ndarray,
                                                  dict[str, np.ndarray]]:
         """Gather ``(embeddings, projections)`` rows by global catalog index."""
         indices = np.asarray(indices, dtype=np.int64)
         return (self._embeddings[indices],
                 {k: v[indices] for k, v in self._projections.items()})
-
-    def iter_blocks(self, shard: CatalogShard) -> Iterator[
-            tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
-        """Yield ``(global_indices, embeddings, projections)`` scoring blocks."""
-        return iter_shard_blocks(shard, self.block_size)
 
     # ------------------------------------------------------------------
     def screen(self, score_block: ScoreBlockFn, num_queries: int,
@@ -368,26 +391,14 @@ class ShardedEmbeddingCatalog:
 
         ``score_block`` maps one ``(embeddings, projections)`` block to a
         ``(num_queries, block)`` score matrix; it is invoked once per block
-        for the whole query batch.  ``exclude`` is either one global-index
-        array applied to every query or a per-query sequence of arrays;
-        ``top_k`` is one shared budget or a per-query sequence (queries
-        keep independent accumulators, so a heterogeneous batch returns
-        bitwise what each query alone would).  Returns one
-        ``(indices, scores)`` pair per query, sorted by (score desc,
-        index asc), excluded rows removed; fewer than ``top_k`` entries
-        come back when the catalog has fewer eligible candidates.
-
-        Exclusions are applied *after* selection: each accumulator keeps
-        ``top_k + len(exclude)`` candidates, so the excluded rows — at most
-        that many — can never displace an eligible one.  That keeps the
-        per-block work free of membership tests, and is exactly equivalent
-        to masking candidates up front.
+        for the whole query batch.  ``top_k`` and ``exclude`` are
+        normalised by :class:`ShardPlan`.  Returns one ``(indices,
+        scores)`` pair per query, sorted by (score desc, index asc),
+        excluded rows removed; fewer than ``top_k`` entries come back when
+        the catalog has fewer eligible candidates.
         """
-        top_ks = normalize_top_k(top_k, num_queries)
-        excludes = normalize_exclude(exclude, num_queries)
-        padded = [k + e.size if k > 0 else 0
-                  for k, e in zip(top_ks, excludes)]
+        plan = ShardPlan.build(num_queries, top_k, exclude)
         per_shard = [screen_shard(shard, self.block_size, score_block,
-                                  num_queries, padded)
+                                  num_queries, plan.padded)
                      for shard in self._shards]
-        return finalize_screen(per_shard, padded, excludes, top_ks)
+        return finalize_screen(per_shard, plan)

@@ -51,14 +51,15 @@ The store is a **versioned, crash-consistent, append-only catalog**:
 Reopening goes through ``np.load(..., mmap_mode="r")``: shard arrays become
 read-only memory maps, so a screening pass touches O(block) file pages at a
 time and its heap allocations stay O(block + k) — a catalog (projections
-included) far larger than RAM streams through the engine.  Because
-:class:`MappedShardCatalog` feeds those maps through the *same*
-:func:`~repro.serving.shards.screen_shard` /
-:func:`~repro.serving.shards.finalize_screen` code as the in-memory
-:class:`~repro.serving.shards.ShardedEmbeddingCatalog`, results are
-bitwise-identical to the in-memory engine for every block size and shard
-count.  Worker processes (:mod:`repro.serving.executor`) open individual
-shards by manifest path — no array ever crosses a process boundary.
+included) far larger than RAM streams through the engine.  A store's shards
+are the contiguous row ranges of the engine's shard plan
+(:mod:`repro.serving.shards`), and every placement reads them the same way:
+:class:`MappedShardCatalog` runs the plan inline, and the process pool
+(:mod:`repro.serving.executor`), remote workers and the remote client's
+local fallback (:mod:`repro.serving.remote`) open single shards by manifest
+path and run the one exact per-shard task — no array ever crosses a process
+boundary, and results are bitwise-identical to the in-memory engine for
+every block size and shard count.
 """
 
 from __future__ import annotations
@@ -85,6 +86,13 @@ JOURNAL_FORMAT = "repro.serving.shard-journal/v1"
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 _RETAINED_RE = re.compile(r"^manifest\.v(\d{6})\.json$")
 _CRC_CHUNK = 1 << 20  # 1 MB read chunks keep verification O(1) in heap
+# numpy parses every .npy header with ast.literal_eval, and CPython 3.11
+# keeps one process-wide AST recursion counter that two threads parsing at
+# once can trip ("SystemError: AST constructor recursion depth mismatch").
+# A worker's handler threads and a remote client's fallback threads open
+# shards concurrently, so shard loads are serialised; each shard opens
+# once per store, off the per-screen path.
+_NPY_LOAD_LOCK = threading.Lock()
 
 
 class ShardIntegrityError(ValueError):
@@ -427,8 +435,7 @@ class ShardStore:
         # far larger than RAM.
         for name in self._shard_files(index):
             self._verify_file(name, shard=index)
-        embeddings = np.load(self.root / spec["embeddings"],
-                             mmap_mode=self.mmap_mode)
+        embeddings = self._load(spec["embeddings"])
         if embeddings.shape != (stop - start, self.embed_dim):
             raise ValueError(
                 f"shard {index}: {spec['embeddings']} has shape "
@@ -440,8 +447,7 @@ class ShardStore:
             if name in aliases:
                 projections[name] = embeddings
             else:
-                matrix = np.load(self.root / spec["projections"][name],
-                                 mmap_mode=self.mmap_mode)
+                matrix = self._load(spec["projections"][name])
                 if len(matrix) != stop - start:
                     raise ValueError(
                         f"shard {index}: projection {name!r} has "
@@ -452,6 +458,10 @@ class ShardStore:
             embeddings=embeddings, projections=projections)
         self._opened[index] = shard
         return shard
+
+    def _load(self, name: str) -> np.ndarray:
+        with _NPY_LOAD_LOCK:
+            return np.load(self.root / name, mmap_mode=self.mmap_mode)
 
     def catalog(self, block_size: int | None = None) -> "MappedShardCatalog":
         """A screening catalog over the memory-mapped shards."""
@@ -870,8 +880,8 @@ class ShardStore:
         """Write a shard store under directory ``path``; returns the manifest.
 
         Rows are split into the same contiguous ranges the in-memory
-        catalog's default layout uses (``np.array_split`` boundaries), so a
-        reopened store screens shard-for-shard identically.  Projections
+        catalog uses (``np.array_split`` boundaries), so a reopened store
+        screens shard-for-shard identically.  Projections
         whose matrix *is* the embedding matrix (the dot decoder's identity
         precompute) are recorded as aliases, not written twice.
 
@@ -993,12 +1003,11 @@ class MappedShardCatalog(ShardedEmbeddingCatalog):
     """A :class:`ShardedEmbeddingCatalog` whose rows live on disk.
 
     Shards are ``np.memmap`` views opened from a :class:`ShardStore`; the
-    inherited :meth:`screen` streams them through the shared blockwise
-    top-k core, so exact-mode results are bitwise-identical to the
-    in-memory catalog while peak heap memory stays O(block + k).  There is
-    deliberately no materialized global embedding/projection matrix — use
-    :meth:`rows` to gather specific rows (the approximate-mode rerank
-    does), which reads only the pages those rows live on.
+    inherited :meth:`screen` runs the shard plan over them, so exact-mode
+    results are bitwise-identical to the in-memory catalog while peak heap
+    memory stays O(block + k).  There is deliberately no materialized
+    global embedding matrix — :meth:`rows` gathers specific rows (the
+    approximate-mode rerank does), reading only the pages they live on.
 
     The shard list and row count are snapshotted at construction, so a
     catalog built from a store *pins* that store's version: the store can
@@ -1016,8 +1025,6 @@ class MappedShardCatalog(ShardedEmbeddingCatalog):
                         for i in range(store.num_shards)]
         self._starts = np.array([int(s.indices[0]) for s in self._shards],
                                 dtype=np.int64)
-        self._embeddings = None
-        self._projections = None
         self.block_size = block_size
 
     @property
@@ -1032,11 +1039,6 @@ class MappedShardCatalog(ShardedEmbeddingCatalog):
     @property
     def num_drugs(self) -> int:
         return self._num_drugs
-
-    @property
-    def projections(self) -> dict[str, np.ndarray]:
-        raise RuntimeError("an out-of-core catalog never materializes a "
-                           "global projection matrix; use rows()")
 
     def rows(self, indices: Sequence[int] | np.ndarray
              ) -> tuple[np.ndarray, dict[str, np.ndarray]]:

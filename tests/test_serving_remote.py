@@ -14,6 +14,7 @@ serial in-memory engine or an explicit error; never silently wrong.
 import os
 import signal
 import socket
+import threading
 import time
 
 import asyncio
@@ -90,6 +91,45 @@ class _Pipe:
         chunk = bytes(self.buffer[self.offset:self.offset + count])
         self.offset += len(chunk)
         return chunk
+
+
+def _dead_addresses(count):
+    """Ports from closed listeners: connections are refused immediately."""
+    dead = []
+    for _ in range(count):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        dead.append(probe.getsockname())
+        probe.close()
+    return dead
+
+
+class _TamperingWorker(ShardWorker):
+    """A worker double whose screen replies are well-formed but wrong.
+
+    ``shard_of`` redirects each screen request to another shard's rows;
+    ``reverse`` flips every query's rows.  The tampered reply is re-framed,
+    so it passes the CRC check — only the client's reply checks catch it.
+    """
+
+    def __init__(self, manifest, shard_of=None, reverse=False):
+        super().__init__(manifest)
+        self.shard_of = shard_of
+        self.reverse = reverse
+
+    def dispatch(self, connection, header, arrays):
+        if header.get("op") != "screen":
+            return super().dispatch(connection, header, arrays)
+        meta = dict(header["meta"])
+        if self.shard_of is not None:
+            meta["shard"] = self.shard_of(meta["shard"])
+        pipe = _Pipe()
+        super().dispatch(pipe, {**header, "meta": meta}, arrays)
+        reply, out = recv_message(pipe)
+        if self.reverse:
+            out = {name: value[::-1] for name, value in out.items()}
+        send_message(connection, reply, out)
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +285,48 @@ class TestValidateShardResults:
     def test_passes_and_casts(self):
         out = validate_shard_results(
             [(np.array([3, 1], dtype=np.int32), np.array([0.9, 0.8]))],
-            1, [2], num_drugs=5)
+            [2], 0, 5)
         assert out[0][0].dtype == np.int64
+        # Equal scores are fine in ascending index order; empty is fine.
+        validate_shard_results(
+            [(np.array([1, 3]), np.array([0.5, 0.5])),
+             (np.zeros(0, dtype=np.int64), np.zeros(0))], [2, 0], 0, 5)
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
-            validate_shard_results(self._good(), 2, [2, 2])
+            validate_shard_results(self._good(), [2, 2], 0, 5)
         with pytest.raises(ValueError):   # unpaired lengths
             validate_shard_results(
-                [(np.array([1]), np.array([0.5, 0.4]))], 1, [2])
+                [(np.array([1]), np.array([0.5, 0.4]))], [2], 0, 5)
         with pytest.raises(ValueError):   # over padded budget
-            validate_shard_results(self._good(), 1, [1])
+            validate_shard_results(self._good(), [1], 0, 5)
         with pytest.raises(ValueError):   # index out of catalog
-            validate_shard_results(self._good(), 1, [2], num_drugs=2)
+            validate_shard_results(self._good(), [2], 0, 2)
         with pytest.raises(ValueError):   # float indices
             validate_shard_results(
-                [(np.array([1.5, 2.5]), np.array([0.5, 0.4]))], 1, [2])
+                [(np.array([1.5, 2.5]), np.array([0.5, 0.4]))], [2], 0, 5)
+
+    def test_rejects_rows_of_another_shard(self):
+        """Rows must come from the requested shard's [start, stop)."""
+        with pytest.raises(ValueError, match="outside the shard"):
+            validate_shard_results(self._good(), [2], 2, 5)   # 1 < start
+        with pytest.raises(ValueError, match="outside the shard"):
+            validate_shard_results(self._good(), [2], 0, 3)   # 3 >= stop
+        validate_shard_results(self._good(), [2], 1, 4)
+
+    def test_rejects_rows_out_of_order(self):
+        with pytest.raises(ValueError, match="order"):   # ascending scores
+            validate_shard_results(
+                [(np.array([1, 3]), np.array([0.8, 0.9]))], [2], 0, 5)
+        with pytest.raises(ValueError, match="order"):   # tie, index desc
+            validate_shard_results(
+                [(np.array([3, 1]), np.array([0.5, 0.5]))], [2], 0, 5)
+        with pytest.raises(ValueError, match="order"):   # repeated row
+            validate_shard_results(
+                [(np.array([1, 1]), np.array([0.5, 0.5]))], [2], 0, 5)
+        with pytest.raises(ValueError, match="order"):   # NaN score
+            validate_shard_results(
+                [(np.array([1, 3]), np.array([np.nan, 0.5]))], [2], 0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +487,9 @@ class TestRemoteExecutor:
     def test_all_workers_down_local_fallback_bitwise(self, served):
         service, manifest = served
         serial = self._serial(served)
-        # Ports from a closed listener: connection refused immediately.
-        dead = []
-        for _ in range(2):
-            probe = socket.socket()
-            probe.bind(("127.0.0.1", 0))
-            dead.append(probe.getsockname())
-            probe.close()
-        service.connect_workers(dead, timeout_s=0.25, backoff_base_s=0.001,
-                                breaker_threshold=2, breaker_reset_s=30.0)
+        service.connect_workers(_dead_addresses(2), timeout_s=0.25,
+                                backoff_base_s=0.001, breaker_threshold=2,
+                                breaker_reset_s=30.0)
         try:
             got = _hits(service.screen_batch([0, 5, 9], top_k=6))
             stats = dict(service.remote.stats)
@@ -439,6 +499,83 @@ class TestRemoteExecutor:
         assert stats["local_fallbacks"] == 3      # one per shard
         assert stats["breaker_trips"] >= 1        # breakers opened
         assert stats["breaker_skips"] >= 1        # later shards skipped them
+
+    def test_concurrent_local_fallbacks_never_share_a_kernel(
+            self, served, monkeypatch):
+        """Fan-out threads falling back at once each score with their own
+        kernel: kernels keep non-reentrant scratch buffers, so a shared
+        one lets concurrent shards overwrite each other's scores."""
+        service, _ = served
+        serial = self._serial(served)
+        num_shards = service.shard_store.num_shards
+        barrier = threading.Barrier(num_shards, timeout=10)
+        first_call = threading.local()
+        kernels = []
+        for cls in KERNEL_KINDS.values():
+            def score_block(kernel, *args, _original=cls.score_block,
+                            **kwargs):
+                # Hold every shard's first block until all shards are
+                # scoring, so the fallbacks are sure to overlap.
+                if not getattr(first_call, "seen", False):
+                    first_call.seen = True
+                    kernels.append(kernel)
+                    barrier.wait()
+                return _original(kernel, *args, **kwargs)
+            monkeypatch.setattr(cls, "score_block", score_block)
+        service.connect_workers(_dead_addresses(2), attempts=1,
+                                timeout_s=0.25, backoff_base_s=0.0)
+        try:
+            got = _hits(service.screen_batch([0, 5, 9], top_k=6))
+            fallbacks = service.remote.stats["local_fallbacks"]
+        finally:
+            service.disconnect_workers()
+        assert fallbacks == num_shards
+        assert len(kernels) == num_shards
+        assert len({id(kernel) for kernel in kernels}) == num_shards
+        assert got == serial
+
+    def test_reply_from_another_shard_is_retried_then_screened_locally(
+            self, served):
+        """A worker answering every shard with shard 0's rows is caught
+        by the shard-range check, not merged into the top-k."""
+        service, manifest = served
+        serial = self._serial(served)
+        with _TamperingWorker(manifest, shard_of=lambda shard: 0) as worker:
+            service.connect_workers([worker], attempts=2,
+                                    backoff_base_s=0.0,
+                                    breaker_threshold=100)
+            try:
+                got = _hits(service.screen_batch([0, 5, 9], top_k=6))
+                stats = dict(service.remote.stats)
+            finally:
+                service.disconnect_workers()
+        assert got == serial
+        assert stats["retries"] == 2              # shards 1 and 2, once each
+        assert stats["remote_failures"] == 4
+        assert stats["local_fallbacks"] == 2
+
+    def test_reply_out_of_order_is_retried_then_screened_locally(
+            self, setup, tmp_path):
+        """On a one-shard store the merge is skipped, so only the order
+        check stands between reversed worker rows and the caller."""
+        corpus, _, model, builder = setup
+        service = DDIScreeningService(model, builder, corpus)
+        service.open_shards(service.save_shards(tmp_path / "one",
+                                                num_shards=1), strict=True)
+        serial = _hits(service.screen_batch([0, 5, 9], top_k=6,
+                                            parallel=False))
+        with _TamperingWorker(service.shard_store.path,
+                              reverse=True) as worker:
+            service.connect_workers([worker], attempts=2,
+                                    backoff_base_s=0.0)
+            try:
+                got = _hits(service.screen_batch([0, 5, 9], top_k=6))
+                stats = dict(service.remote.stats)
+            finally:
+                service.close()
+        assert got == serial
+        assert stats["remote_failures"] == 2
+        assert stats["local_fallbacks"] == 1
 
     def test_no_fallback_raises_after_exhaustion(self, served):
         _, manifest = served

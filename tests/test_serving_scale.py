@@ -3,9 +3,8 @@ selection, sharded catalogs, blockwise/batched/approximate screening, and
 persistence of the precomputed decoder projections.
 
 The engine's exact mode promises *bitwise* determinism: identical scores
-and rankings for every block size, shard count, shard layout, and
-query-batch size — all equal to the single-block reference
-``HyGNN.screen_probs``.  These tests pin that contract down.
+and rankings for every block size, shard count, and query-batch size —
+all equal to the single-block reference ``HyGNN.screen_probs``.  These tests pin that contract down.
 """
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 
 from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig
+from repro.core.decoder import make_decoder, make_screen_kernel
 from repro.serving import (DDIScreeningService, ShardedEmbeddingCatalog,
                            TopKAccumulator, merge_top_k, top_k_desc)
 
@@ -130,8 +130,7 @@ class TestTopK:
     def test_batched_screen_shard_matches_accumulators(self):
         """The vectorised per-shard screen is bitwise the accumulator path
         for every blocking, tie pattern, and per-query budget mix."""
-        from repro.serving.shards import (ShardedEmbeddingCatalog,
-                                          _screen_shard_batched)
+        from repro.serving.shards import screen_shard
         rng = np.random.default_rng(4)
         for _ in range(60):
             n = int(rng.integers(1, 100))
@@ -151,8 +150,8 @@ class TestTopK:
                 return scores[:, start:offset[0]]
 
             padded = [int(rng.integers(0, 13)) for _ in range(num_queries)]
-            got = _screen_shard_batched(catalog._shards[0], block,
-                                        score_block, num_queries, padded)
+            got = screen_shard(catalog.shards[0], block, score_block,
+                               num_queries, padded)
             accs = [TopKAccumulator(k) for k in padded]
             for start in range(0, n, block):
                 stop = min(start + block, n)
@@ -190,16 +189,13 @@ class TestShardedCatalog:
         np.testing.assert_array_equal(indices, expected)
         np.testing.assert_array_equal(values, scores[expected])
 
-    def test_identical_across_shard_layouts(self):
+    def test_identical_across_shard_counts(self):
         emb, scores, fn = self._catalog_and_scores(seed=3)
-        rng = np.random.default_rng(7)
         reference = None
-        layouts = [None] + [np.array_split(rng.permutation(len(emb)), s)
-                            for s in (1, 2, 5)]
-        for layout in layouts:
-            catalog = ShardedEmbeddingCatalog(
-                emb, block_size=17,
-                num_shards=4 if layout is None else 1, layout=layout)
+        for num_shards in (1, 2, 4, 5, len(emb), len(emb) + 3):
+            catalog = ShardedEmbeddingCatalog(emb, block_size=17,
+                                              num_shards=num_shards)
+            assert catalog.num_shards == min(num_shards, len(emb))
             (indices, values), = catalog.screen(fn, 1, 12)
             if reference is None:
                 reference = (indices, values)
@@ -236,14 +232,6 @@ class TestShardedCatalog:
         # 1-D returns are still fine for a single query (atleast_2d).
         (indices, _), = catalog.screen(lambda e, _p: np.zeros(len(e)), 1, 3)
         np.testing.assert_array_equal(indices, [0, 1, 2])
-
-    def test_bad_layout_rejected(self):
-        emb = np.zeros((10, 3))
-        with pytest.raises(ValueError, match="partition"):
-            ShardedEmbeddingCatalog(emb, layout=[np.arange(4)])
-        with pytest.raises(ValueError, match="partition"):
-            ShardedEmbeddingCatalog(emb, layout=[np.arange(10),
-                                                 np.array([2])])
 
     def test_default_shards_are_views(self):
         emb = np.arange(60, dtype=np.float64).reshape(20, 3)
@@ -476,6 +464,72 @@ class TestApproximateMode:
         with pytest.raises(ValueError, match="approx_oversample"):
             _service(setup).screen(0, top_k=3, approx=True,
                                    approx_oversample=0)
+
+    def test_score_rows_matches_score_block_bitwise(self, setup):
+        """The gather-rerank kernel reports exactly the exact-mode logits
+        for the same pairs, in both orientations."""
+        _, config, model, *_ = setup
+        decoder = model.decoder
+        kernel = make_screen_kernel(decoder)
+        rng = np.random.default_rng(8)
+        emb = rng.standard_normal((50, config.embed_dim))
+        cand = decoder.candidate_projections(emb)
+        query_proj = decoder.project_queries(
+            emb[:4], sides=("as_left", "as_right"))
+        rows = rng.integers(0, 50, size=(4, 13))
+        gathered = {name: value[rows] for name, value in cand.items()}
+        for reverse in (False, True):
+            full = kernel.score_block(query_proj, cand, reverse=reverse)
+            np.testing.assert_array_equal(
+                kernel.score_rows(query_proj, gathered, reverse=reverse),
+                np.take_along_axis(full, rows, axis=1))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_score_rows_ignore_padding(self, setup, dtype):
+        """A row's logit does not depend on how many rows share its gather,
+        so padding shortlists to a common length changes no bits."""
+        _, config, *_ = setup
+        rng = np.random.default_rng(9)
+        decoder = make_decoder(config.decoder, 32, 128, rng)
+        kernel = make_screen_kernel(decoder)
+        emb = rng.standard_normal((300, 32)).astype(dtype)
+        cand = decoder.candidate_projections(emb)
+        query_proj = decoder.project_queries(emb[:3], sides=("as_left",))
+        rows = rng.integers(0, 300, size=(3, 57))
+        full = kernel.score_rows(
+            query_proj, {name: value[rows] for name, value in cand.items()})
+        assert full.dtype == dtype
+        for cut in (1, 4, 13, 30, 56):
+            part = kernel.score_rows(query_proj, {
+                name: value[rows[:, :cut]] for name, value in cand.items()})
+            np.testing.assert_array_equal(part, full[:, :cut])
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_mixed_batches_rerank_like_single_queries(self, setup,
+                                                      precision):
+        """A batch mixing budgets, excludes and shortlist lengths (zero
+        included) reranks every query bitwise as if it were screened
+        alone, with and without symmetric scoring."""
+        service = _service(setup, block_size=9, num_shards=2,
+                           precision=precision)
+        n = service.num_drugs
+        rng = np.random.default_rng(21)
+        for _ in range(12):
+            queries = [int(q) for q in rng.integers(0, n, rng.integers(1, 5))]
+            top_ks = [int(rng.choice([0, 5, 10, 20])) for _ in queries]
+            excludes = [tuple(int(e) for e in rng.choice(
+                n, int(rng.choice([0, 3, n])), replace=False))
+                for _ in queries]
+            symmetric = bool(rng.integers(2))
+            batch = service.screen_batch(queries, top_k=top_ks,
+                                         exclude=excludes,
+                                         symmetric=symmetric, approx=True)
+            for query, top_k, exclude, hits in zip(queries, top_ks,
+                                                   excludes, batch):
+                alone = service.screen(query, top_k=top_k, exclude=exclude,
+                                       symmetric=symmetric, approx=True)
+                assert [(h.index, h.probability) for h in hits] == \
+                    [(h.index, h.probability) for h in alone]
 
 
 # ---------------------------------------------------------------------------

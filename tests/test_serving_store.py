@@ -192,13 +192,6 @@ class TestMappedCatalog:
         with pytest.raises(IndexError):
             mapped.rows(np.array([64]))
 
-    def test_no_global_projection_matrix(self, tmp_path):
-        _, emb, proj = _synthetic(n=12)
-        mapped = ShardStore(ShardStore.save(tmp_path / "s", emb,
-                                            proj)).catalog(4)
-        with pytest.raises(RuntimeError, match="out-of-core"):
-            mapped.projections
-
 
 # ---------------------------------------------------------------------------
 # service wiring: save_shards / open_shards / parallel screens
