@@ -87,11 +87,7 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_queries: int,
     # ------------------------------------------------------------------
     # Reference: exact float64 screens (MLP decoder, the paper's best)
     # ------------------------------------------------------------------
-    # auto_refresh=False: frozen-weights serving, the deployment
-    # configuration every tier is meant to be measured in (the
-    # per-call weights fingerprint otherwise dilutes each ratio).
-    exact = DDIScreeningService(model, builder, corpus,
-                                auto_refresh=False)
+    exact = DDIScreeningService(model, builder, corpus)
     print("encoding float64 reference cache ...", flush=True)
     reference = _index_lists(exact.screen_batch(queries, top_k=top_k))
     f64_s = _timeit(lambda: exact.screen_batch(queries, top_k=top_k),
@@ -100,9 +96,7 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_queries: int,
     # ------------------------------------------------------------------
     # 1: float32 serving tier
     # ------------------------------------------------------------------
-    low = DDIScreeningService(model, builder, corpus,
-                              precision="float32",
-                              auto_refresh=False)
+    low = DDIScreeningService(model, builder, corpus, precision="float32")
     print("encoding float32 serving cache ...", flush=True)
     f32_hits = _index_lists(low.screen_batch(queries, top_k=top_k))
     f32_s = _timeit(lambda: low.screen_batch(queries, top_k=top_k), repeats)

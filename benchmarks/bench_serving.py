@@ -6,7 +6,8 @@ Measures the repeat pair-scoring hot path on a synthetic drug catalog:
   entire corpus hypergraph on every call (the training-time API).
 - **service**: ``DDIScreeningService.score_pairs(pairs)`` — encodes once,
   then every call is a vectorized decoder pass over cached embeddings
-  (including the per-call weight-fingerprint staleness check).
+  (including the per-call staleness check, which compares the model's
+  parameter arrays with the ones the cache was encoded from).
 
 Also times incremental registration and top-k screening, and verifies score
 parity between the two paths.  Exits non-zero if parity exceeds 1e-8 or the

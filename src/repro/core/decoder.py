@@ -321,8 +321,8 @@ class MLPDecoder(_ScratchMixin, Module):
     # The sketch is a *ranking* surrogate only — approx mode always
     # exact-reranks the oversampled shortlist with score_block.
 
-    def sketch_factors(self, projections: dict[str, np.ndarray],
-                       rank: int | None = None) -> dict[str, np.ndarray]:
+    def sketch_factors(self, projections: dict[str, np.ndarray]
+                       ) -> dict[str, np.ndarray]:
         """``{"mean", "std", "components"}`` from catalog candidate projections.
 
         Computed once per (weights, catalog) version via an eigendecomposition
@@ -332,12 +332,10 @@ class MLPDecoder(_ScratchMixin, Module):
         cand = np.concatenate([projections["as_right_max"],
                                projections["as_right_min"]], axis=1)
         width = cand.shape[1]
-        if rank is None:
-            # Half the operand width keeps ~all of the skewed real-catalog
-            # spectrum (raising it further adds noisy directions and costs
-            # recall); the prefilter GEMM stays 2x slimmer than exact.
-            rank = max(8, width // 2)
-        rank = max(1, min(int(rank), width))
+        # Half the operand width keeps ~all of the skewed real-catalog
+        # spectrum (raising it further adds noisy directions and costs
+        # recall); the prefilter GEMM stays 2x slimmer than exact.
+        rank = min(max(8, width // 2), width)
         mean = cand.mean(axis=0)
         centered = cand - mean
         std = centered.std(axis=0)

@@ -1,13 +1,15 @@
 """``repro.serving`` — query-shaped deployment layer for trained HyGNN models.
 
 Turns the repeat-scoring hot path from O(full-graph encode) per call into
-O(pairs) over cached drug embeddings, with fingerprint-based invalidation on
-weight updates and incremental (cold-start, paper Table IX) registration of
-new drugs.  Screening runs on a scale-aware engine: precomputed split-weight
-decoder projections, blockwise streaming top-k (O(block + k) peak memory),
-sharded catalogs with deterministic merge, query micro-batching, and an
-optional prefilter (inner products for the dot decoder, a low-rank sketch
-for the MLP decoder) for approximate top-k at very large catalog sizes.
+O(pairs) over cached drug embeddings, with exact invalidation on weight
+updates (the cache keeps the parameter arrays it was encoded from, read-only,
+and compares them by identity) and incremental (cold-start, paper Table IX)
+registration of new drugs.  Screening runs on a scale-aware engine:
+precomputed split-weight decoder projections, blockwise streaming top-k
+(O(block + k) peak memory), sharded catalogs with deterministic merge, query
+micro-batching, and an optional prefilter (inner products for the dot
+decoder, a low-rank sketch for the MLP decoder) for approximate top-k at
+very large catalog sizes.
 Precision tiers trade exactness for throughput explicitly: float32
 serving halves memory bandwidth on the GEMM-bound hot loop, and int8
 shard stores (~8x smaller) feed the approximate prefilter while the
@@ -42,8 +44,8 @@ version bitwise, and remote workers heal catalog version skew by
 re-opening instead of being excluded.
 """
 
-from .cache import (FINGERPRINT_MODES, EmbeddingCache, LatencyWindow,
-                    ServiceStats, weights_fingerprint)
+from .cache import (EmbeddingCache, LatencyWindow, ServiceStats,
+                    weights_fingerprint)
 from .executor import ParallelShardExecutor
 from .faults import (FAULT_ACTIONS, CrashPoint, CrashPolicy, FaultInjected,
                      FaultPolicy, FaultRule, corrupt_payload)
@@ -65,7 +67,7 @@ __all__ = [
     "ScreeningGateway", "GatewayClosed", "GatewayOverloaded",
     "DeadlineExceeded",
     "EmbeddingCache", "ServiceStats", "LatencyWindow",
-    "weights_fingerprint", "FINGERPRINT_MODES",
+    "weights_fingerprint",
     "ShardedEmbeddingCatalog", "CatalogShard",
     "ShardStore", "MappedShardCatalog", "ShardIntegrityError",
     "ParallelShardExecutor", "exact_score_fn",

@@ -2,28 +2,27 @@
 
 The cache binds three things together: the catalog's embedding matrix, the
 frozen :class:`~repro.core.encoder.EncoderContext` new drugs are encoded
-against, and a *fingerprint* of the model weights that produced both.  Any
-weight update (an optimizer step, ``load_state_dict``, a manual edit) changes
-the fingerprint, which the service detects on the next query and rebuilds the
-cache — stale embeddings are never served.
+against, and the model's parameter arrays that produced both.  Every weight
+update in this package rebinds a parameter's ``.data`` to a new array (an
+optimizer step, ``load_state_dict``, a tape binding a leaf), so the service
+compares the arrays by identity on every query and rebuilds the cache when
+one moved — stale embeddings are never served.  The service marks each
+array it encodes from read-only, so an in-place edit of a served model's
+weights raises ``ValueError`` instead of going unseen.  (numpy cannot
+freeze a view taken *before* that: a writeable view of a parameter made
+before the service first saw it still writes through.)
 
-Two fingerprint modes are available:
-
-- ``"fast"`` (default): per-parameter shape + sum + strided sample sums.
-  O(params) numpy reductions, ~100x cheaper than hashing the raw bytes, and
-  any realistic training update (dense optimizers touch every entry) flips
-  it.  It is a checksum, not a cryptographic digest.
-- ``"full"``: BLAKE2b over every parameter's bytes — exact, for deployments
-  that would rather pay milliseconds per query than trust a checksum.
-
-``DDIScreeningService.invalidate()`` remains the explicit, guaranteed path.
+Persisted artifacts (cache snapshots, shard stores) carry
+:func:`weights_fingerprint`, a BLAKE2b digest of the weights, which loaders
+compare before trusting them.  ``DDIScreeningService.invalidate()`` remains
+the explicit, guaranteed path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import json
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,67 +32,19 @@ import numpy as np
 from ..core.encoder import EncoderContext
 from ..nn import Module, Tensor
 
-FINGERPRINT_MODES = ("fast", "full")
 
+def weights_fingerprint(model: Module) -> str:
+    """BLAKE2b digest of every parameter's name, shape and bytes.
 
-def _fingerprint_to_json(fingerprint: tuple) -> str:
-    """Serialise a fingerprint tuple losslessly (floats survive via repr)."""
-    def convert(value):
-        if isinstance(value, tuple):
-            return {"t": [convert(v) for v in value]}
-        return value
-
-    return json.dumps(convert(fingerprint))
-
-
-def _fingerprint_from_json(payload: str) -> tuple:
-    def restore(value):
-        if isinstance(value, dict):
-            return tuple(restore(v) for v in value["t"])
-        return value
-
-    return restore(json.loads(payload))
-
-
-def weights_fingerprint(model: Module, mode: str = "fast",
-                        params: list[tuple[str, "Tensor"]] | None = None
-                        ) -> tuple:
-    """A hashable token identifying the model's current weights.
-
-    ``params`` lets hot-path callers pass a cached ``sorted(
-    model.named_parameters())`` list — the parameter *set* of a model is
-    fixed after construction, only ``.data`` values change, and walking
-    the module tree every query costs more than the checksums themselves.
+    It hashes the whole model, so only artifact writes and loads call it;
+    the per-query staleness check compares parameter arrays by identity.
     """
-    if mode not in FINGERPRINT_MODES:
-        raise ValueError(f"fingerprint mode must be one of "
-                         f"{FINGERPRINT_MODES}, got {mode!r}")
-    if params is None:
-        params = sorted(model.named_parameters())
-    if mode == "full":
-        digest = hashlib.blake2b(digest_size=16)
-        for name, param in params:
-            digest.update(name.encode("utf-8"))
-            digest.update(str(param.data.shape).encode("utf-8"))
-            digest.update(np.ascontiguousarray(param.data).tobytes())
-        return ("full", digest.hexdigest())
-    parts: list[tuple] = []
-    for name, param in params:
-        data = param.data
-        flat = data.reshape(-1)
-        # Whole-array sum: any dense update (optimizer steps touch every
-        # entry) flips it.  Large arrays add two contiguous window sums to
-        # also catch partial edits that happen to preserve the total; for
-        # small arrays the windows would cost more in reduction-dispatch
-        # overhead than they add in power.
-        if flat.size >= 4096:
-            third = flat.size // 3
-            parts.append((name, data.shape, float(np.add.reduce(flat)),
-                          float(np.add.reduce(flat[:third])),
-                          float(np.add.reduce(flat[-third:]))))
-        else:
-            parts.append((name, data.shape, float(np.add.reduce(flat))))
-    return ("fast", tuple(parts))
+    digest = hashlib.blake2b(digest_size=16)
+    for name, param in sorted(model.named_parameters()):
+        digest.update(name.encode("utf-8"))
+        digest.update(str(param.data.shape).encode("utf-8"))
+        digest.update(np.ascontiguousarray(param.data))
+    return digest.hexdigest()
 
 
 class LatencyWindow:
@@ -229,7 +180,7 @@ _VERSION_COUNTER = itertools.count(1)
 
 @dataclass
 class EmbeddingCache:
-    """Embedding matrix + encoder context, valid for one weights fingerprint.
+    """Embedding matrix + encoder context, valid for one set of weight arrays.
 
     Alongside the raw embeddings the cache can hold the *candidate-side
     decoder projections* (``decoder.candidate_projections``), the per-
@@ -241,13 +192,16 @@ class EmbeddingCache:
     confuse two caches' states, even across :meth:`load` round-trips.
     """
 
-    fingerprint: tuple | None = None
+    # The model's parameter arrays the content was computed from; the
+    # service compares them by identity to decide staleness.
+    weights: tuple[np.ndarray, ...] | None = None
     context: EncoderContext | None = None
     embeddings: np.ndarray | None = None  # (num_catalog_drugs, hidden_dim)
     projections: dict[str, np.ndarray] | None = None  # candidate precompute
     # Low-rank prefilter factors ({"mean", "components"}) behind the
     # projections' "sketch" rows; per (weights, catalog) version like them.
     sketch_factors: dict[str, np.ndarray] | None = None
+    fingerprint: str | None = None        # weights digest of a load() snapshot
     catalog_digest: str | None = None     # set by save()/load() snapshots
     shard_manifest: str | None = None     # shard-store manifest path, if any
     version: int = 0                      # globally unique content token
@@ -255,25 +209,26 @@ class EmbeddingCache:
 
     @property
     def valid(self) -> bool:
-        return self.fingerprint is not None
+        return self.weights is not None
 
-    def matches(self, fingerprint: tuple) -> bool:
-        return self.valid and self.fingerprint == fingerprint
+    def matches(self, weights: tuple[np.ndarray, ...]) -> bool:
+        """True when the content was computed from exactly these arrays."""
+        return self.valid and all(map(operator.is_, self.weights, weights))
 
     def drop(self) -> None:
         if self.valid:
             self.stats.invalidations += 1
-        self.fingerprint = None
+        self.weights = None
         self.context = None
         self.embeddings = None
         self.projections = None
         self.sketch_factors = None
         self.version = next(_VERSION_COUNTER)
 
-    def install(self, fingerprint: tuple, context: EncoderContext,
-                embeddings: np.ndarray,
+    def install(self, weights: tuple[np.ndarray, ...],
+                context: EncoderContext, embeddings: np.ndarray,
                 projections: dict[str, np.ndarray] | None = None) -> None:
-        self.fingerprint = fingerprint
+        self.weights = weights
         self.context = context
         self.embeddings = embeddings
         self.projections = projections
@@ -281,8 +236,8 @@ class EmbeddingCache:
         self.version = next(_VERSION_COUNTER)
         self.stats.corpus_encodes += 1
 
-    def adopt(self, fingerprint: tuple, context: EncoderContext,
-              embeddings: np.ndarray,
+    def adopt(self, weights: tuple[np.ndarray, ...],
+              context: EncoderContext, embeddings: np.ndarray,
               projections: dict[str, np.ndarray] | None = None) -> None:
         """Install content that was *not* produced by an encode pass.
 
@@ -291,7 +246,7 @@ class EmbeddingCache:
         adopts embeddings gathered from persisted shards, and its whole
         point is that no corpus encode ever ran.
         """
-        self.fingerprint = fingerprint
+        self.weights = weights
         self.context = context
         self.embeddings = embeddings
         self.projections = projections
@@ -360,8 +315,7 @@ class EmbeddingCache:
             self.version = next(_VERSION_COUNTER)
         return self.projections
 
-    def ensure_sketch(self, decoder,
-                      rank: int | None = None) -> dict[str, np.ndarray]:
+    def ensure_sketch(self, decoder) -> dict[str, np.ndarray]:
         """Low-rank prefilter factors + ``"sketch"`` projection rows, once.
 
         ``decoder`` must expose ``sketch_factors`` / ``sketch_candidates``
@@ -373,24 +327,24 @@ class EmbeddingCache:
         projections = self.ensure_projections(decoder)
         if "sketch" in projections and self.sketch_factors is not None:
             return self.sketch_factors
-        self.sketch_factors = decoder.sketch_factors(projections, rank=rank)
+        self.sketch_factors = decoder.sketch_factors(projections)
         projections["sketch"] = decoder.sketch_candidates(
             projections, self.sketch_factors)
         self.version = next(_VERSION_COUNTER)
         return self.sketch_factors
 
     # ------------------------------------------------------------------
-    # Persistence: ``.npz`` with the weight fingerprint baked in, so a warm
+    # Persistence: ``.npz`` with the weights digest baked in, so a warm
     # restart of the screening service can skip the initial corpus encode —
     # and can *prove* the snapshot still matches the model it is serving.
     # ------------------------------------------------------------------
-    def save(self, path: str | Path,
+    def save(self, path: str | Path, fingerprint: str,
              catalog_digest: str | None = None) -> Path:
-        """Write embeddings + encoder context + fingerprint as one ``.npz``.
+        """Write embeddings + encoder context + digests as one ``.npz``.
 
-        ``catalog_digest`` identifies the drug catalog the embedding rows
-        belong to (the weights fingerprint alone cannot: one model serves
-        many catalogs); loaders compare it before trusting the rows.
+        ``fingerprint`` digests the weights the content came from;
+        ``catalog_digest`` identifies the drug catalog the rows belong to
+        (one model serves many catalogs).  Loaders compare both.
         """
         if not self.valid:
             raise RuntimeError("cannot save an invalid cache")
@@ -400,8 +354,7 @@ class EmbeddingCache:
         if path.suffix != ".npz":
             path = path.with_name(path.name + ".npz")
         arrays = {
-            "fingerprint_json": np.asarray(
-                _fingerprint_to_json(self.fingerprint)),
+            "fingerprint": np.asarray(fingerprint),
             "catalog_digest": np.asarray(
                 catalog_digest if catalog_digest is not None
                 else (self.catalog_digest or "")),
@@ -438,8 +391,10 @@ class EmbeddingCache:
     def load(cls, path: str | Path) -> "EmbeddingCache":
         """Read a :meth:`save` snapshot back (fresh stats, detached context)."""
         with np.load(Path(path), allow_pickle=False) as archive:
-            fingerprint = _fingerprint_from_json(
-                str(archive["fingerprint_json"]))
+            # Snapshots older than the digest carry none and fail the
+            # loader's fingerprint comparison.
+            fingerprint = (str(archive["fingerprint"])
+                           if "fingerprint" in archive.files else None)
             digest = str(archive["catalog_digest"])
             num_layers = int(archive["num_context_layers"])
             context = EncoderContext(layer_node_feats=tuple(

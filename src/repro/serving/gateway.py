@@ -52,9 +52,10 @@ Operational controls:
   window) and every flush into the ``gateway_batch_sizes`` histogram.
 
 A weight update between enqueue and flush is safe: the coalesced service
-call re-checks the cache fingerprint (``_ensure_fresh``) before scoring,
-so every request in a flush is answered from one post-update cache
-version — embeddings are never mixed across versions.
+call checks that the cache still holds the model's current weight arrays
+(``_ensure_fresh``) before scoring, so every request in a flush is
+answered from one post-update cache version — embeddings are never mixed
+across versions.
 
 The gateway is single-event-loop: create it, submit to it, and close it
 from one running loop.  Scoring runs inline on the loop (numpy releases

@@ -10,8 +10,9 @@ the encoder's inductive split (:meth:`HyGNNEncoder.encode_with_context` /
    and cached; every scoring call after that is a vectorized decoder pass,
    O(pairs) instead of O(full-graph encode).  Cached scores are
    bitwise-identical to ``model.predict_proba`` on the catalog hypergraph.
-2. Weight updates are detected by fingerprint (see
-   :mod:`repro.serving.cache`) and invalidate the cache automatically;
+2. The cache keeps the parameter arrays it was encoded from, read-only;
+   every weight update rebinds ``.data``, so the next call sees a new
+   array and rebuilds (see :mod:`repro.serving.cache`).
    :meth:`DDIScreeningService.invalidate` is the explicit override.
 3. New drugs register incrementally: their SMILES is tokenized against the
    *fitted* vocabulary and encoded against the frozen corpus context — the
@@ -29,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import operator
 import time
 import zipfile
 from dataclasses import dataclass
@@ -49,6 +51,13 @@ from .precision import dequantize_int8, resolve_precision
 from .remote import RemoteShardExecutor
 from .shards import ShardedEmbeddingCatalog, ShardPlan, exact_score_fn
 from .store import ShardStore
+
+
+def _freeze(weights: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Make served weight arrays read-only: an in-place edit then raises."""
+    for array in weights:
+        array.flags.writeable = False
+    return weights
 
 
 @dataclass(frozen=True)
@@ -85,13 +94,10 @@ class DDIScreeningService:
     def __init__(self, model: HyGNN, builder: DrugHypergraphBuilder,
                  catalog_smiles: list[str],
                  drug_ids: list[str] | None = None,
-                 auto_refresh: bool = True,
-                 fingerprint_mode: str = "fast",
                  block_size: int = 1024,
                  num_shards: int = 1,
                  num_workers: int = 0,
-                 precision: str = "float64",
-                 sketch_rank: int | None = None):
+                 precision: str = "float64"):
         if not catalog_smiles:
             raise ValueError("catalog must contain at least one drug")
         if block_size < 1:
@@ -115,18 +121,19 @@ class DDIScreeningService:
         self._model = model
         self._builder = builder
         self._vocab = vocab
-        self._auto_refresh = auto_refresh
-        self._fingerprint_mode = fingerprint_mode
+        # The parameter set is fixed after construction; only the arrays
+        # bound to ``.data`` change.  ``_digest`` memoizes the artifact
+        # fingerprint of the last set of arrays hashed.
+        self._params = list(model.parameters())
+        self._digest: tuple[tuple[np.ndarray, ...], str] | None = None
         # Serving precision: "float32" downcasts embeddings, decoder
         # weights, and candidate projections once at cache-build time and
         # runs the whole blockwise screen in float32 (half the memory
         # bandwidth on the GEMM-bound hot loop).  float64 (default) stays
         # bitwise-identical to the training-path scores.  The precision is
-        # folded into the weights fingerprint, so float32 caches/stores
-        # can never masquerade as exact-tier artifacts (or vice versa).
+        # part of the artifact fingerprint, so float32 caches/stores can
+        # never masquerade as exact-tier artifacts (or vice versa).
         self._dtype = resolve_precision(precision)
-        # Rank of the MLP prefilter sketch (None = decoder default).
-        self._sketch_rank = sketch_rank
         self._smiles: list[str] = list(catalog_smiles)
         self._drug_ids: list[str] = list(drug_ids)
         self._index: dict[str, int] = {d: i for i, d in enumerate(drug_ids)}
@@ -165,9 +172,6 @@ class DDIScreeningService:
         # Sorted drug-id table for vectorized id -> index lookups; rebuilt
         # lazily after registrations.
         self._id_table: tuple[np.ndarray, np.ndarray] | None = None
-        # The model's parameter set is fixed after construction; cache the
-        # sorted walk so per-query staleness checks only pay the checksums.
-        self._param_list: list | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -205,10 +209,8 @@ class DDIScreeningService:
                 "drug_ids": self._drug_ids,
                 "num_corpus": int(self._num_corpus),
                 "precision": self._dtype.name,
-                "fingerprint_mode": self._fingerprint_mode,
                 "block_size": int(self.block_size),
-                "num_shards": int(self.num_shards),
-                "sketch_rank": self._sketch_rank}
+                "num_shards": int(self.num_shards)}
         arrays = {
             "meta_json": np.frombuffer(
                 json.dumps(meta).encode("utf-8"), dtype=np.uint8),
@@ -244,7 +246,7 @@ class DDIScreeningService:
 
         ``workers`` (addresses for :meth:`connect_workers`) wires the
         multi-host tier in the same call; other ``kwargs`` go to the
-        constructor (e.g. ``num_workers``, ``auto_refresh``).
+        constructor (e.g. ``num_workers``).
         """
         context_path = Path(context)
         with np.load(context_path, allow_pickle=False) as archive:
@@ -269,10 +271,8 @@ class DDIScreeningService:
         service = cls(model, builder, smiles[:num_corpus],
                       drug_ids=drug_ids[:num_corpus],
                       precision=meta["precision"],
-                      fingerprint_mode=meta["fingerprint_mode"],
                       block_size=int(meta["block_size"]),
                       num_shards=int(meta["num_shards"]),
-                      sketch_rank=meta.get("sketch_rank"),
                       **kwargs)
         # Registered extensions restore as bookkeeping only — their
         # embedding rows come from the store like everyone else's.
@@ -293,8 +293,7 @@ class DDIScreeningService:
             raise ValueError(
                 f"shard store covers {store.num_drugs} drugs; the serving "
                 f"context lists {service.num_drugs}")
-        fingerprint = service._fingerprint()
-        if store.fingerprint != fingerprint:
+        if store.fingerprint != service._fingerprint():
             raise ValueError(
                 "shard store fingerprint does not match the model in the "
                 "serving context")
@@ -305,7 +304,7 @@ class DDIScreeningService:
             [np.asarray(store.open_shard(index).embeddings)
              for index in range(store.num_shards)],
             axis=0).astype(service._dtype, copy=False)
-        service._cache.adopt(fingerprint, encoder_context, embeddings)
+        service._cache.adopt(service._weights(), encoder_context, embeddings)
         service.open_shards(store.path, strict=True)
         if workers:
             service.connect_workers(workers)
@@ -351,7 +350,7 @@ class DDIScreeningService:
         """Rebuild the cache now (``force=True`` skips the staleness check)."""
         if force:
             self._cache.drop()
-        self._ensure_fresh(check=True)
+        self._ensure_fresh()
 
     def _catalog_digest(self, upto: int | None = None) -> str:
         """Content hash of the catalog the embedding rows belong to.
@@ -377,14 +376,15 @@ class DDIScreeningService:
         matches both the model and the drugs being served.
         """
         self._ensure_fresh()
-        return self._cache.save(path, catalog_digest=self._catalog_digest())
+        return self._cache.save(path, self._fingerprint(),
+                                catalog_digest=self._catalog_digest())
 
     def load_cache(self, path: str | Path, strict: bool = False) -> bool:
         """Warm-start from a :meth:`save_cache` snapshot; True on success.
 
         The snapshot is installed only if it exists, reads cleanly, its
-        fingerprint matches the *current* model weights (same fingerprint
-        mode included), and its catalog digest matches this service's exact
+        fingerprint matches the *current* model weights (serving precision
+        included), and its catalog digest matches this service's exact
         drug list — otherwise it is ignored (or, with ``strict=True``, the
         error is raised) and the next query re-encodes as usual.  On
         success the initial corpus encode is skipped entirely.
@@ -397,8 +397,7 @@ class DDIScreeningService:
             if strict:
                 raise
             return False
-        fingerprint = self._fingerprint()
-        if not loaded.matches(fingerprint):
+        if loaded.fingerprint != self._fingerprint():
             if strict:
                 raise ValueError(
                     "persisted cache fingerprint does not match the current "
@@ -418,6 +417,7 @@ class DDIScreeningService:
                     f"this service has {self.num_drugs} drugs / "
                     f"{len(self._model.encoder.layers)} layers")
             return False
+        loaded.weights = self._weights()
         loaded.stats = self._cache.stats
         self._cache = loaded
         # No explicit engine invalidation needed: cache versions are
@@ -462,7 +462,7 @@ class DDIScreeningService:
         decoder = self._model.decoder
         projections = self._cache.ensure_projections(decoder)
         if getattr(decoder, "needs_sketch", False):
-            self._cache.ensure_sketch(decoder, rank=self._sketch_rank)
+            self._cache.ensure_sketch(decoder)
             projections = self._cache.projections
         manifest = ShardStore.save(
             path, self._cache.embeddings, projections,
@@ -638,34 +638,31 @@ class DDIScreeningService:
         """The serving dtype of the screening tier ("float64"/"float32")."""
         return self._dtype.name
 
-    def _fingerprint(self) -> tuple:
-        if self._param_list is None:
-            self._param_list = sorted(self._model.named_parameters())
-        fingerprint = weights_fingerprint(
-            self._model, mode=self._fingerprint_mode,
-            params=self._param_list)
-        if self._dtype != np.float64:
-            # Non-default precisions wrap the weight fingerprint, so a
-            # low-precision cache/store and an exact one can never validate
-            # against each other; float64 fingerprints stay byte-compatible
-            # with snapshots written before precision tiers existed.
-            fingerprint = ("precision", self._dtype.name, fingerprint)
-        return fingerprint
+    def _weights(self) -> tuple[np.ndarray, ...]:
+        """The parameter arrays currently bound to the model's weights."""
+        return tuple(param.data for param in self._params)
 
-    def _ensure_fresh(self, check: bool | None = None) -> None:
-        if check is None:
-            check = self._auto_refresh
-        if self._cache.valid and not check:
-            self._cache.stats.cache_hits += 1
-            return
-        fingerprint = self._fingerprint()
-        if self._cache.matches(fingerprint):
+    def _fingerprint(self) -> str:
+        """Serving precision + weights digest for persisted artifacts,
+        hashed once per set of (read-only) weight arrays."""
+        weights = self._weights()
+        if self._digest is None or not all(
+                map(operator.is_, self._digest[0], weights)):
+            _freeze(weights)
+            self._digest = (weights, f"{self._dtype.name}:"
+                                     f"{weights_fingerprint(self._model)}")
+        return self._digest[1]
+
+    def _ensure_fresh(self) -> None:
+        """Rebuild the cache unless it came from the current weight arrays."""
+        weights = self._weights()
+        if self._cache.matches(weights):
             self._cache.stats.cache_hits += 1
             return
         self._cache.drop()
-        self._rebuild(fingerprint)
+        self._rebuild(_freeze(weights))
 
-    def _rebuild(self, fingerprint: tuple) -> None:
+    def _rebuild(self, weights: tuple[np.ndarray, ...]) -> None:
         model = self._model
         was_training = model.training
         model.eval()
@@ -688,7 +685,7 @@ class DDIScreeningService:
             embeddings = np.concatenate(rows, axis=0).astype(self._dtype,
                                                              copy=False)
             self._cache.install(
-                fingerprint, detached, embeddings,
+                weights, detached, embeddings,
                 projections=model.candidate_projections(embeddings))
         finally:
             model.train(was_training)
@@ -1211,7 +1208,7 @@ class DDIScreeningService:
         store = self._store
         if store is None:
             if needs_sketch:
-                self._cache.ensure_sketch(decoder, rank=self._sketch_rank)
+                self._cache.ensure_sketch(decoder)
                 query_proj["sketch"] = kernel.sketch_queries(
                     query_proj, self._cache.sketch_factors)
             catalog = self._catalog()

@@ -73,7 +73,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .cache import _fingerprint_from_json, _fingerprint_to_json
 from .faults import CrashPolicy
 from .precision import QUANTIZATION_SCHEMES, quantize_int8
 from .shards import CatalogShard, ShardedEmbeddingCatalog
@@ -266,9 +265,6 @@ class ShardStore:
             version = int(manifest.get("version", 0))
             if not isinstance(manifest["shards"], list):
                 raise TypeError
-            fingerprint = manifest.get("fingerprint")
-            fingerprint = (_fingerprint_from_json(fingerprint)
-                           if fingerprint is not None else None)
             quantization = _validate_quantization(
                 manifest.get("quantization"), embed_dim,
                 list(manifest["projections"]), list(manifest["aliases"]))
@@ -286,7 +282,7 @@ class ShardStore:
         self._embed_dim = embed_dim
         self._block_size = block_size
         self.version = version
-        self.fingerprint = fingerprint
+        self.fingerprint = manifest.get("fingerprint")
         self._quantization = quantization
         self._checksums = checksums
         self.catalog_digest = manifest.get("catalog_digest")
@@ -873,7 +869,7 @@ class ShardStore:
     def save(cls, path: str | Path, embeddings: np.ndarray,
              projections: dict[str, np.ndarray] | None = None,
              num_shards: int = 1, block_size: int = 1024,
-             fingerprint: tuple | None = None,
+             fingerprint: str | None = None,
              catalog_digest: str | None = None,
              quantize: str | None = None,
              sketch_factors: dict[str, np.ndarray] | None = None) -> Path:
@@ -974,8 +970,7 @@ class ShardStore:
         manifest = {
             "format": STORE_FORMAT,
             "version": 0,
-            "fingerprint": (_fingerprint_to_json(fingerprint)
-                            if fingerprint is not None else None),
+            "fingerprint": fingerprint,
             "catalog_digest": catalog_digest,
             "num_drugs": len(embeddings),
             "embed_dim": int(embeddings.shape[1]),

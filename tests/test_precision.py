@@ -194,16 +194,6 @@ class TestSketchPrefilter:
                                 [h.index for h in approx])
         assert hits / len(range(0, service.num_drugs, 5)) >= 0.9
 
-    def test_sketch_rank_knob_controls_sketch_width(self, setup):
-        _, config, *_ = setup
-        if config.decoder != "mlp":
-            pytest.skip("sketch prefilter targets the MLP decoder")
-        service = _service(setup, sketch_rank=4)
-        service.screen(0, top_k=3, approx=True)  # builds the sketch
-        factors = service._cache.sketch_factors
-        assert factors is not None
-        assert factors["components"].shape[1] == 4
-
     def test_approx_after_registration_still_screens(self, setup):
         corpus, config, model, _, builder = setup
         if config.decoder != "mlp":

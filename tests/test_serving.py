@@ -8,7 +8,8 @@ from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig, Trainer, save_model
 from repro.core.encoder import HyGNNEncoder
 from repro.data import balanced_pairs_and_labels, make_benchmark, random_split
-from repro.serving import DDIScreeningService, weights_fingerprint
+from repro.serving import DDIScreeningService
+from repro.serving import service as service_module
 
 
 def _corpus(n=40, seed=11):
@@ -69,9 +70,9 @@ class TestCacheInvalidation:
         corpus, _, model, hypergraph, builder = setup
         service = DDIScreeningService(model, builder, corpus)
         before = service.score_pairs(query_pairs)
-        original = model.encoder.node_embedding.data.copy()
+        original = model.encoder.node_embedding.data
         try:
-            model.encoder.node_embedding.data += 0.05
+            model.encoder.node_embedding.data = original + 0.05
             after = service.score_pairs(query_pairs)
             fresh = model.predict_proba(hypergraph, query_pairs)
             assert not np.array_equal(before, after)
@@ -106,42 +107,65 @@ class TestCacheInvalidation:
         assert service.stats.corpus_encodes == 2
         assert service.stats.invalidations == 1
 
-    def test_auto_refresh_off_serves_stale_until_refresh(self, setup,
-                                                         query_pairs):
-        corpus, _, model, _, builder = setup
-        service = DDIScreeningService(model, builder, corpus,
-                                      auto_refresh=False)
-        before = service.score_pairs(query_pairs)
-        original = model.encoder.node_embedding.data.copy()
-        try:
-            model.encoder.node_embedding.data += 0.05
-            stale = service.score_pairs(query_pairs)
-            np.testing.assert_array_equal(before, stale)
-            service.refresh()
-            assert not np.array_equal(before,
-                                      service.score_pairs(query_pairs))
-        finally:
-            model.encoder.node_embedding.data = original
+    def test_row_swap_through_load_state_dict_rebuilds(self):
+        """Swapping two middle rows of the substructure table keeps the
+        table's sums, so a checksum of sums can miss it; array identity
+        cannot, because ``load_state_dict`` binds new arrays."""
+        corpus = _corpus(300, seed=5)
+        config = HyGNNConfig(parameter=4, embed_dim=32, hidden_dim=32,
+                             seed=3)
+        model, _, builder = HyGNN.for_corpus(corpus, config)
+        service = DDIScreeningService(model, builder, corpus)
+        queries = list(range(len(corpus)))
+        before = service.screen_batch(queries, top_k=5)
+        state = model.state_dict()
+        table = state["encoder.node_embedding"]
+        n = len(table)
+        table[[n // 2, n // 2 + 1]] = table[[n // 2 + 1, n // 2]]
+        model.load_state_dict(state)
+        fresh = DDIScreeningService(model, builder, corpus)
+        after = service.screen_batch(queries, top_k=5)
+        assert after == fresh.screen_batch(queries, top_k=5)
+        assert after != before
+        assert service.stats.corpus_encodes == 2
 
-    def test_full_fingerprint_mode(self, setup, query_pairs):
+    def test_in_place_edits_of_served_weights_raise(self, setup):
         corpus, _, model, _, builder = setup
-        service = DDIScreeningService(model, builder, corpus,
-                                      fingerprint_mode="full")
-        before = service.score_pairs(query_pairs)
-        original = model.encoder.node_embedding.data.copy()
-        try:
-            model.encoder.node_embedding.data += 1e-12
-            service.score_pairs(query_pairs)
-            assert service.stats.corpus_encodes == 2
-        finally:
-            model.encoder.node_embedding.data = original
-        np.testing.assert_array_equal(before,
-                                      service.score_pairs(query_pairs))
+        service = DDIScreeningService(model, builder, corpus)
+        before = service.screen(0, top_k=5)
+        table = model.encoder.node_embedding
+        with pytest.raises(ValueError, match="read-only"):
+            table.data[[0, 1]] = table.data[[1, 0]]
+        for param in model.parameters():
+            with pytest.raises(ValueError, match="read-only"):
+                param.data += 0.05
+        assert service.screen(0, top_k=5) == before
+        assert service.stats.corpus_encodes == 1
 
-    def test_fingerprint_modes_validated(self, setup):
-        _, _, model, _, _ = setup
-        with pytest.raises(ValueError):
-            weights_fingerprint(model, mode="sha1")
+    def test_requests_never_hash_the_weights(self, setup, monkeypatch,
+                                             tmp_path):
+        corpus, _, model, _, builder = setup
+        calls = []
+        digest = service_module.weights_fingerprint
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return digest(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "weights_fingerprint", counting)
+        service = DDIScreeningService(model, builder, corpus)
+        new_drugs = _corpus(4, seed=77)
+        for _ in range(2):
+            service.screen_batch([0, 3], top_k=4)
+            service.screen_smiles_batch(new_drugs[:2], top_k=4,
+                                        allow_unknown=True)
+            service.score_pairs(np.array([[0, 1], [2, 3]]))
+        service.register_drugs(new_drugs[2:], allow_unknown=True)
+        assert calls == []
+        service.save_shards(tmp_path / "store")
+        assert service.open_shards(tmp_path / "store", strict=True)
+        service.save_cache(tmp_path / "cache.npz")
+        assert len(calls) == 1
 
 
 class TestIncrementalRegistration:
@@ -471,16 +495,6 @@ class TestCachePersistence:
         warm.score_pairs(query_pairs)
         assert warm.stats.corpus_encodes == 0
         assert warm.stats.cache_loads == 1
-
-    def test_fingerprint_survives_json_round_trip(self, setup, tmp_path):
-        from repro.serving.cache import (_fingerprint_from_json,
-                                         _fingerprint_to_json)
-        _, _, model, _, _ = setup
-        for mode in ("fast", "full"):
-            fingerprint = weights_fingerprint(model, mode=mode)
-            restored = _fingerprint_from_json(
-                _fingerprint_to_json(fingerprint))
-            assert restored == fingerprint
 
     def test_stale_weights_rejected(self, setup, tmp_path):
         corpus, _, model, _, builder = setup

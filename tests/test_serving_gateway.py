@@ -329,7 +329,8 @@ class TestInvalidationRace:
                 await asyncio.sleep(0.01)   # requests are enqueued, no flush
                 assert not any(t.done() for t in tasks)
                 # The weight update lands while the batch is in flight.
-                model.encoder.node_embedding.data += 0.05
+                table = model.encoder.node_embedding
+                table.data = table.data + 0.05
                 # The fourth request completes the batch and triggers the
                 # flush, which must re-check freshness before scoring.
                 tasks.append(asyncio.ensure_future(gateway.screen(3,

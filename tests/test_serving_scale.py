@@ -343,9 +343,9 @@ class TestEngineParity:
         corpus, _, model, _, _ = setup
         service = _service(setup, block_size=8, num_shards=2)
         before = service.screen(1, top_k=5)
-        original = model.encoder.node_embedding.data.copy()
+        original = model.encoder.node_embedding.data
         try:
-            model.encoder.node_embedding.data += 0.05
+            model.encoder.node_embedding.data = original + 0.05
             after = service.screen(1, top_k=5)
             legacy = _legacy_screen(service, model, 1, 5)
             assert [h.index for h in after] == [j for j, _ in legacy]
@@ -599,6 +599,7 @@ class TestProjectionPersistence:
         expected = service.screen(4, top_k=5)
         service._cache.projections = None  # emulate a pre-projection snapshot
         path = service._cache.save(tmp_path / "old.npz",
+                                   service._fingerprint(),
                                    catalog_digest=service._catalog_digest())
 
         warm = _service(setup)

@@ -63,7 +63,7 @@ class TestShardStore:
         decoder, emb, proj = _synthetic(n=53)
         manifest = ShardStore.save(tmp_path / "store", emb, proj,
                                    num_shards=4, block_size=17,
-                                   fingerprint=("fast", (("w", (2, 3), 1.5),)),
+                                   fingerprint="float64:0123abcd",
                                    catalog_digest="abc123")
         assert manifest.name == "manifest.json"
         store = ShardStore(manifest)
@@ -71,7 +71,7 @@ class TestShardStore:
         assert store.embed_dim == emb.shape[1]
         assert store.num_shards == 4
         assert store.block_size == 17
-        assert store.fingerprint == ("fast", (("w", (2, 3), 1.5),))
+        assert store.fingerprint == "float64:0123abcd"
         assert store.catalog_digest == "abc123"
         assert store.projection_names == sorted(proj)
         # Shard row ranges follow the in-memory catalog's default split.
@@ -242,9 +242,9 @@ class TestServiceStore:
         with pytest.raises(ValueError, match="different drug catalog"):
             other.open_shards(manifest, strict=True)
         # Different weights -> fingerprint mismatch.
-        original = model.encoder.node_embedding.data.copy()
+        original = model.encoder.node_embedding.data
         try:
-            model.encoder.node_embedding.data += 0.25
+            model.encoder.node_embedding.data = original + 0.25
             fresh = _service(setup)
             assert not fresh.open_shards(manifest)
             with pytest.raises(ValueError, match="fingerprint"):
@@ -263,6 +263,45 @@ class TestServiceStore:
         assert not service.open_shards(bad)
         with pytest.raises(ValueError, match="missing manifest keys"):
             service.open_shards(bad, strict=True)
+
+    def test_artifacts_carry_one_digest_string(self, setup, tmp_path):
+        """A store, a cache snapshot and a serving context written here
+        round-trip strictly; the same artifacts carrying another digest
+        string are rejected."""
+        service = _service(setup, num_shards=2)
+        expected = _hits([service.screen(3, top_k=5)])[0]
+        manifest = service.save_shards(tmp_path / "store")
+        snapshot = service.save_cache(tmp_path / "cache.npz")
+        context = service.save_serving_context(tmp_path / "context")
+        digest = json.loads(manifest.read_text())["fingerprint"]
+        assert digest == service._fingerprint()
+        assert digest.startswith(f"{service.precision}:")
+        assert _service(setup).open_shards(manifest, strict=True)
+        warm = _service(setup)
+        assert warm.load_cache(snapshot, strict=True)
+        cold = DDIScreeningService.from_store(manifest, context)
+        for booted in (warm, cold):
+            assert _hits([booted.screen(3, top_k=5, parallel=False)])[0] \
+                == expected
+            assert booted.stats.corpus_encodes == 0
+
+        other = f"{service.precision}:{'0' * 32}"
+        payload = json.loads(manifest.read_text())
+        payload["fingerprint"] = other
+        manifest.write_text(json.dumps(payload))
+        with np.load(snapshot) as archive:
+            arrays = dict(archive)
+        arrays["fingerprint"] = np.asarray(other)
+        np.savez_compressed(snapshot, **arrays)
+        fresh = _service(setup)
+        assert not fresh.open_shards(manifest)
+        assert not fresh.load_cache(snapshot)
+        for load in (lambda: fresh.open_shards(manifest, strict=True),
+                     lambda: fresh.load_cache(snapshot, strict=True),
+                     lambda: DDIScreeningService.from_store(manifest,
+                                                            context)):
+            with pytest.raises(ValueError, match="fingerprint"):
+                load()
 
     def test_open_shards_releases_in_memory_projections(self, setup,
                                                         tmp_path):
@@ -309,9 +348,9 @@ class TestServiceStore:
         service.save_shards(tmp_path / "store")
         assert service.open_shards(tmp_path / "store")
         before = service.screen(2, top_k=4)
-        original = model.encoder.node_embedding.data.copy()
+        original = model.encoder.node_embedding.data
         try:
-            model.encoder.node_embedding.data += 0.1
+            model.encoder.node_embedding.data = original + 0.1
             after = service.screen(2, top_k=4)
             assert service._store is None
             assert ([h.probability for h in before]
@@ -393,7 +432,7 @@ class TestCacheVersionUniqueness:
     def _cache_with(self, emb):
         cache = EmbeddingCache()
         context = EncoderContext(layer_node_feats=(Tensor(np.zeros((2, 2))),))
-        cache.install(("fast", ()), context, emb)
+        cache.install((), context, emb)
         return cache
 
     def test_versions_globally_unique_across_instances(self):
@@ -406,7 +445,7 @@ class TestCacheVersionUniqueness:
 
     def test_loaded_snapshot_gets_fresh_version(self, tmp_path):
         cache = self._cache_with(np.ones((3, 2)))
-        path = cache.save(tmp_path / "c.npz")
+        path = cache.save(tmp_path / "c.npz", "float64:0123abcd")
         loaded = EmbeddingCache.load(path)
         assert loaded.version != 0
         assert loaded.version != cache.version
@@ -426,6 +465,7 @@ class TestCacheVersionUniqueness:
         # used to recreate the old engine's key.
         service._cache.projections = None
         path = service._cache.save(tmp_path / "snap.npz",
+                                   service._fingerprint(),
                                    catalog_digest=service._catalog_digest())
         assert service.load_cache(path)
         hits = _hits([service.screen(0, top_k=4)])[0]
