@@ -143,11 +143,9 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_shards: int,
             return _report(failures, {})
         queries = [int(q) for q in rng.choice(
             num_drugs, size=min(8, num_drugs), replace=False)]
-        reference = _hits(service.screen_batch(queries, top_k=top_k,
-                                               parallel=False))
+        reference = _hits(service.screen_batch(queries, top_k=top_k))
         serial_s = _timeit(
-            lambda: service.screen_batch(queries, top_k=top_k,
-                                         parallel=False), repeats)
+            lambda: service.screen_batch(queries, top_k=top_k), repeats)
 
         # ------------------------------------------------------------------
         # 1: remote parity + transport latency on live localhost workers

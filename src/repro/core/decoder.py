@@ -473,28 +473,22 @@ class DotDecoder(_ScratchMixin, Module):
         return (cand_proj["emb"] @ query_proj["emb"].T).T
 
 
-class _PicklableKernel(_ScratchMixin):
-    """Weight-free screening kernel, safe to ship to worker processes.
+class _ScreenKernel(_ScratchMixin):
+    """Weight-free screening kernel, rebuilt by shard workers from its kind.
 
     ``score_block`` / ``prefilter_block`` read **only** the precomputed
     query- and candidate-side projections handed to them — never live
     decoder weights — so a kernel owns no state beyond reusable scratch
-    buffers.  Pickling drops the scratch (workers rebuild it lazily),
-    which keeps the payload sent per screening task a few bytes.
+    buffers, and a worker builds its own from the registry name
+    (:func:`make_kernel`).
 
     The ``score_block`` implementations are the *same function objects*
     as the decoders' (assigned, not reimplemented), so a worker scoring a
     memory-mapped shard is bitwise-identical to the in-process engine.
     """
 
-    def __getstate__(self) -> dict:
-        return {}
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-
-class MLPScreenKernel(_PicklableKernel):
+class MLPScreenKernel(_ScreenKernel):
     is_symmetric = MLPDecoder.is_symmetric
     supports_prefilter = MLPDecoder.supports_prefilter
     needs_sketch = MLPDecoder.needs_sketch
@@ -504,7 +498,7 @@ class MLPScreenKernel(_PicklableKernel):
     prefilter_block = MLPDecoder.prefilter_block
 
 
-class DotScreenKernel(_PicklableKernel):
+class DotScreenKernel(_ScreenKernel):
     is_symmetric = DotDecoder.is_symmetric
     supports_prefilter = DotDecoder.supports_prefilter
     needs_sketch = DotDecoder.needs_sketch
@@ -513,8 +507,8 @@ class DotScreenKernel(_PicklableKernel):
     prefilter_block = DotDecoder.prefilter_block
 
 
-def make_screen_kernel(decoder: Module) -> _PicklableKernel:
-    """The picklable screening kernel matching ``decoder``'s scoring math."""
+def make_screen_kernel(decoder: Module) -> _ScreenKernel:
+    """The weight-free screening kernel matching ``decoder``'s scoring math."""
     if isinstance(decoder, MLPDecoder):
         return MLPScreenKernel()
     if isinstance(decoder, DotDecoder):
@@ -525,13 +519,13 @@ def make_screen_kernel(decoder: Module) -> _PicklableKernel:
 # Wire-level kernel registry: the remote screening transport ships a *kind
 # string*, never a pickled object — a worker reconstructs the weight-free
 # kernel from the name, so no code object crosses a host boundary.
-KERNEL_KINDS: dict[str, type[_PicklableKernel]] = {
+KERNEL_KINDS: dict[str, type[_ScreenKernel]] = {
     "mlp": MLPScreenKernel,
     "dot": DotScreenKernel,
 }
 
 
-def kernel_kind(kernel: _PicklableKernel) -> str:
+def kernel_kind(kernel: _ScreenKernel) -> str:
     """The registry name of a screening kernel instance."""
     for name, cls in KERNEL_KINDS.items():
         if type(kernel) is cls:
@@ -540,7 +534,7 @@ def kernel_kind(kernel: _PicklableKernel) -> str:
                     f"screening kernel")
 
 
-def make_kernel(kind: str) -> _PicklableKernel:
+def make_kernel(kind: str) -> _ScreenKernel:
     """Instantiate a screening kernel from its registry name."""
     try:
         return KERNEL_KINDS[kind]()

@@ -20,9 +20,11 @@ micro-batches (one engine pass per flush) with admission control,
 per-request deadlines, graceful drain, and p50/p99/QPS stats — coalesced
 screens stay bitwise-identical to serial calls.
 
-The multi-host tier takes the same engine across machines:
-:class:`ShardWorker` serves a shard store's per-shard top-k over a
-stdlib TCP transport, :class:`RemoteShardExecutor` fans screens out to
+Out of process, the same engine runs on shard workers — one placement
+for local processes and other hosts alike: :class:`ShardWorker` serves a
+shard store's per-shard top-k over a stdlib TCP transport (``python -m
+repro.serving.worker``, or :meth:`DDIScreeningService.start_workers` for
+local processes), :class:`RemoteShardExecutor` fans screens out to
 workers with retries, replica failover, per-worker circuit breakers, and
 a local memory-mapped fallback — merged results stay bitwise-identical
 to the serial engine under any fault schedule
@@ -46,7 +48,6 @@ re-opening instead of being excluded.
 
 from .cache import (EmbeddingCache, LatencyWindow, ServiceStats,
                     weights_fingerprint)
-from .executor import ParallelShardExecutor
 from .faults import (FAULT_ACTIONS, CrashPoint, CrashPolicy, FaultInjected,
                      FaultPolicy, FaultRule, corrupt_payload)
 from .gateway import (DeadlineExceeded, GatewayClosed, GatewayOverloaded,
@@ -70,7 +71,7 @@ __all__ = [
     "weights_fingerprint",
     "ShardedEmbeddingCatalog", "CatalogShard",
     "ShardStore", "MappedShardCatalog", "ShardIntegrityError",
-    "ParallelShardExecutor", "exact_score_fn",
+    "exact_score_fn",
     "ShardWorker", "RemoteShardExecutor", "CircuitBreaker",
     "RemoteShardError", "FrameError", "send_message", "recv_message",
     "FaultPolicy", "FaultRule", "FaultInjected", "FAULT_ACTIONS",

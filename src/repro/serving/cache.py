@@ -145,8 +145,7 @@ class ServiceStats:
     pairs_scored: int = 0          # exact decoder pair evaluations (eligible)
     prefilter_pairs: int = 0       # approximate-mode prefilter comparisons
     screens: int = 0
-    parallel_screens: int = 0      # queries answered by the process pool
-    remote_screens: int = 0        # queries answered by remote shard workers
+    remote_screens: int = 0        # queries answered by shard workers
     registrations: int = 0         # drugs registered onto the live catalog
     appends_committed: int = 0     # store versions committed by appends
     compactions: int = 0           # store versions committed by compaction

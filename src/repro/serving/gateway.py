@@ -37,7 +37,7 @@ Operational controls:
   deadline passes before its batch is scored fails with
   :class:`DeadlineExceeded` and is dropped from the flush, and one whose
   deadline elapses *during* scoring (a retrying remote screen, a
-  degraded executor) fails the same way instead of returning late
+  local fallback) fails the same way instead of returning late
   (``stats.gateway_expirations`` counts both).  Requests failed by a
   scoring exception are counted in ``stats.gateway_failures``.
 - **Graceful drain**: :meth:`close` stops admitting new requests, flushes
@@ -196,17 +196,16 @@ class ScreeningGateway:
     async def screen(self, query: int | str, top_k: int = 5,
                      exclude: tuple = (), symmetric: bool = False,
                      approx: bool = False, approx_oversample: int = 4,
-                     parallel: bool | None = None,
                      timeout_ms: float | None = None) -> list[ScreenHit]:
         """Batched :meth:`DDIScreeningService.screen`; same result, awaited.
 
         Requests sharing the same flags (``symmetric`` / ``approx`` /
-        ``approx_oversample`` / ``parallel``) coalesce into one
-        ``screen_batch`` flush even when their ``top_k`` or ``exclude``
-        differ — results are bitwise what a serial ``screen`` returns.
+        ``approx_oversample``) coalesce into one ``screen_batch`` flush
+        even when their ``top_k`` or ``exclude`` differ — results are
+        bitwise what a serial ``screen`` returns.
         """
         key = ("screen", bool(symmetric), bool(approx),
-               int(approx_oversample), parallel)
+               int(approx_oversample))
         payload = {"query": query, "top_k": top_k,
                    "exclude": tuple(exclude)}
         return await self._submit(key, payload, timeout_ms)
@@ -216,12 +215,11 @@ class ScreeningGateway:
                             allow_unknown: bool = False,
                             approx: bool = False,
                             approx_oversample: int = 4,
-                            parallel: bool | None = None,
                             timeout_ms: float | None = None
                             ) -> list[ScreenHit]:
         """Batched transient-SMILES screening (one encode per flush)."""
         key = ("smiles", bool(symmetric), bool(approx),
-               int(approx_oversample), parallel, bool(allow_unknown))
+               int(approx_oversample), bool(allow_unknown))
         payload = {"smiles": smiles, "top_k": top_k}
         return await self._submit(key, payload, timeout_ms)
 
@@ -386,7 +384,7 @@ class ScreeningGateway:
 
         Used both before and *after* scoring: a deadline is an end-to-end
         budget, so time burned inside a slow flush (a retrying remote
-        screen, a degraded executor) counts against it too — the caller
+        screen, a local fallback) counts against it too — the caller
         must never receive a result after the budget it asked for.
         """
         if request.future.done():
@@ -445,21 +443,20 @@ class ScreeningGateway:
         """One coalesced service call for a group of compatible requests."""
         kind = key[0]
         if kind == "screen":
-            _, symmetric, approx, oversample, parallel = key
+            _, symmetric, approx, oversample = key
             return self._service.screen_batch(
                 [r.payload["query"] for r in group],
                 top_k=[r.payload["top_k"] for r in group],
                 exclude=[r.payload["exclude"] for r in group],
                 symmetric=symmetric, approx=approx,
-                approx_oversample=oversample, parallel=parallel)
+                approx_oversample=oversample)
         if kind == "smiles":
-            _, symmetric, approx, oversample, parallel, allow_unknown = key
+            _, symmetric, approx, oversample, allow_unknown = key
             return self._service.screen_smiles_batch(
                 [r.payload["smiles"] for r in group],
                 top_k=[r.payload["top_k"] for r in group],
                 symmetric=symmetric, allow_unknown=allow_unknown,
-                approx=approx, approx_oversample=oversample,
-                parallel=parallel)
+                approx=approx, approx_oversample=oversample)
         arrays = [r.payload["pairs"] for r in group]
         probs = self._service.score_pairs(np.concatenate(arrays, axis=0))
         out, offset = [], 0

@@ -12,8 +12,9 @@ client):
   *kind*, the query projections and the per-query padded budgets), and
   the worker answers it with
   :func:`~repro.serving.shards.screen_exact_shard`, the per-shard task
-  the process pool runs too, so per-shard results are bitwise-equal by
-  construction.
+  the client's local fallback runs too; it composes the in-process
+  engine's ``exact_score_fn`` and ``screen_shard``, so per-shard results
+  are bitwise-equal by construction.
 - :class:`RemoteShardExecutor` — the client: it normalises a screen with
   :class:`~repro.serving.shards.ShardPlan`, fans the per-shard requests
   out over worker connections with per-request timeouts, bounded
@@ -33,9 +34,9 @@ in the header, so a torn or corrupted frame is *detected* and retried
 instead of silently mis-merged.  Nested projection dicts flatten to
 ``"as_left/g_max"``-style keys.
 
-Launch a worker standalone with::
+Launch a worker standalone with (:mod:`repro.serving.worker`)::
 
-    PYTHONPATH=src python -m repro.serving.remote /path/to/manifest.json \
+    PYTHONPATH=src python -m repro.serving.worker /path/to/manifest.json \
         --host 0.0.0.0 --port 7461
 """
 
@@ -169,6 +170,11 @@ def recv_message(stream) -> tuple[dict, dict[str, np.ndarray]]:
                  for _, dtype, shape in specs]
     except (TypeError, ValueError) as error:
         raise FrameError("malformed array specs") from error
+    # Only plain numeric arrays travel: an object dtype or a negative
+    # dimension would fail (or worse) in np.frombuffer below.
+    if any(dtype.kind not in "biufc" or min(shape, default=0) < 0
+           for _, dtype, shape in specs):
+        raise FrameError("malformed array specs")
     payload = _recv_exact(stream, sum(sizes))
     if (zlib.crc32(payload) & 0xFFFFFFFF) != header.get("crc32"):
         raise FrameError("payload CRC32 mismatch — frame corrupt in flight")
@@ -215,10 +221,10 @@ class ShardWorker:
     ``screen`` request names a shard, a kernel *kind*, per-query padded-k
     budgets, and carries the precomputed query projections; the worker
     answers with the very same
-    :func:`~repro.serving.shards.screen_exact_shard` the process pool
-    runs.  ``health`` and ``manifest`` probes let clients check liveness
-    and prove the worker serves the same store (fingerprint + catalog
-    digest) before trusting its numbers.
+    :func:`~repro.serving.shards.screen_exact_shard` the client's local
+    fallback runs.  ``health`` and ``manifest`` probes let clients check
+    liveness and prove the worker serves the same store (fingerprint +
+    catalog digest) before trusting its numbers.
 
     ``fault_policy`` injects deterministic faults into ``screen``
     handling (delay / drop / error / corrupt) — the test and benchmark
@@ -228,12 +234,11 @@ class ShardWorker:
     def __init__(self, manifest: str | Path | ShardStore,
                  host: str = "127.0.0.1", port: int = 0,
                  fault_policy: FaultPolicy | None = None,
-                 mmap_mode: str | None = "r",
                  verify_checksums: bool = True):
         if isinstance(manifest, ShardStore):
             self.store = manifest
         else:
-            self.store = ShardStore(manifest, mmap_mode=mmap_mode,
+            self.store = ShardStore(manifest,
                                     verify_checksums=verify_checksums)
         self.fault_policy = fault_policy
         self._server = _WorkerServer((host, int(port)), _WorkerHandler)
@@ -473,9 +478,9 @@ class _Endpoint:
 class RemoteShardExecutor:
     """Fault-tolerant fan-out of per-shard top-k over remote shard workers.
 
-    Same ``screen`` contract as
-    :class:`~repro.serving.executor.ParallelShardExecutor`, so the service
-    can route a screen to either interchangeably.  Determinism under
+    Same ``screen`` contract as the in-process engine
+    (:meth:`~repro.serving.shards.ShardedEmbeddingCatalog.screen`), so the
+    service routes a screen to either interchangeably.  Determinism under
     faults: every replica and the local fallback run the same per-shard
     task over the same shard bytes, responses are CRC-checked and checked
     against the shard they answer before entering the merge, and the
@@ -691,9 +696,11 @@ class RemoteShardExecutor:
                ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Remote exact-mode screen; bitwise-equal to the serial engine.
 
-        Same contract as :meth:`ParallelShardExecutor.screen`: one
+        Same contract as :meth:`ShardedEmbeddingCatalog.screen
+        <repro.serving.shards.ShardedEmbeddingCatalog.screen>`: one
         ``(indices, probabilities)`` pair per query, sorted by
-        (probability desc, index asc), exclusions removed.
+        (probability desc, index asc), exclusions removed; ``top_k`` may
+        be one shared budget or a per-query sequence.
         """
         plan = ShardPlan.build(num_queries, top_k, exclude)
         request = ExactRequest(kernel_kind(kernel), query_proj, plan.padded,
@@ -819,36 +826,3 @@ class RemoteShardExecutor:
         spec = self._store.manifest["shards"][shard]
         return validate_shard_results(results, request.padded,
                                       int(spec["start"]), int(spec["stop"]))
-
-
-# ---------------------------------------------------------------------------
-# Standalone worker entry point
-# ---------------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Serve a shard store's per-shard screening over TCP.")
-    parser.add_argument("manifest",
-                        help="shard-store manifest path (or its directory)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
-                        help="0 picks an ephemeral port (printed)")
-    parser.add_argument("--no-verify", action="store_true",
-                        help="skip CRC verification of shard files on open")
-    args = parser.parse_args(argv)
-    worker = ShardWorker(args.manifest, host=args.host, port=args.port,
-                         verify_checksums=not args.no_verify)
-    host, port = worker.address
-    print(f"shard worker serving {args.manifest} on {host}:{port} "
-          f"({worker.store.num_shards} shards, "
-          f"{worker.store.num_drugs} drugs)", flush=True)
-    try:
-        worker.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -31,7 +31,12 @@ import hashlib
 import io
 import json
 import operator
+import os
+import re
+import subprocess
+import sys
 import time
+import weakref
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +51,6 @@ from ..hypergraph import DrugHypergraphBuilder, Hypergraph
 from ..nn import Tensor
 from ..nn.functional import stable_sigmoid
 from .cache import EmbeddingCache, ServiceStats, weights_fingerprint
-from .executor import ParallelShardExecutor
 from .precision import dequantize_int8, resolve_precision
 from .remote import RemoteShardExecutor
 from .shards import ShardedEmbeddingCatalog, ShardPlan, exact_score_fn
@@ -58,6 +62,25 @@ def _freeze(weights: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     for array in weights:
         array.flags.writeable = False
     return weights
+
+
+def _worker_address(process: subprocess.Popen) -> tuple[str, int]:
+    """The ``(host, port)`` a started shard worker prints once it listens."""
+    line = process.stdout.readline()
+    match = re.search(r" on (\S+):(\d+) \(", line)
+    if match is None:
+        raise RuntimeError(f"shard worker failed to start: {line!r}")
+    return match.group(1), int(match.group(2))
+
+
+def _stop_processes(processes: list[subprocess.Popen]) -> None:
+    """Terminate and reap started shard workers; empties ``processes``."""
+    for process in processes:
+        process.terminate()
+    for process in processes:
+        process.wait()
+        process.stdout.close()
+    processes.clear()
 
 
 @dataclass(frozen=True)
@@ -79,16 +102,16 @@ class DDIScreeningService:
     Exact-mode screening scores are bitwise-identical for every choice of
     both knobs.
 
-    Two out-of-core/parallel extensions ride on that layout, both exactly
-    as deterministic: :meth:`save_shards` persists the shards (embedding
+    Two out-of-core extensions ride on that layout, both exactly as
+    deterministic: :meth:`save_shards` persists the shards (embedding
     rows + precomputed projections) as raw ``.npy`` files plus a JSON
     manifest, and :meth:`open_shards` reattaches them memory-mapped, so
     screening streams candidate blocks from disk instead of holding the
-    catalog-sized working set in RAM; with ``num_workers > 1`` exact-mode
-    screens additionally fan per-shard top-k out to a process pool whose
-    workers open shards by manifest path.  All plans — serial in-memory,
-    serial memory-mapped, multi-process — return bitwise-identical
-    ``(indices, probabilities)``.
+    catalog-sized working set in RAM; :meth:`start_workers` (local
+    processes) or :meth:`connect_workers` (any host) then hands exact-mode
+    screens to shard workers that open the same store by manifest path.
+    All plans — in-memory, memory-mapped, shard workers — return
+    bitwise-identical ``(indices, probabilities)``.
     """
 
     def __init__(self, model: HyGNN, builder: DrugHypergraphBuilder,
@@ -96,7 +119,6 @@ class DDIScreeningService:
                  drug_ids: list[str] | None = None,
                  block_size: int = 1024,
                  num_shards: int = 1,
-                 num_workers: int = 0,
                  precision: str = "float64"):
         if not catalog_smiles:
             raise ValueError("catalog must contain at least one drug")
@@ -104,8 +126,6 @@ class DDIScreeningService:
             raise ValueError("block_size must be >= 1")
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if num_workers < 0:
-            raise ValueError("num_workers must be >= 0")
         vocab = builder.vocabulary  # raises if the builder is unfitted
         if len(vocab) != model.encoder.num_substructures:
             raise ValueError(
@@ -147,27 +167,23 @@ class DDIScreeningService:
         self._cache = EmbeddingCache()
         self.block_size = block_size
         self.num_shards = num_shards
-        # Pool size for parallel shard execution (0/1 = in-process); only
-        # takes effect while a shard store is attached (see open_shards).
-        self.num_workers = num_workers
         # Sharded catalog derived from the cache; rebuilt when the cache
         # version (or either knob) changes.  Versions are globally unique
         # (never reused across cache instances), so the key alone decides
         # staleness — including after load_cache swaps the cache object.
         self._catalog_engine: ShardedEmbeddingCatalog | None = None
         self._catalog_key: tuple | None = None
-        # Out-of-core tier: an attached memory-mapped shard store, the
-        # cache version its arrays were validated against, and the lazy
-        # process-pool executor over it.
+        # Out-of-core tier: an attached memory-mapped shard store and the
+        # cache version its arrays were validated against.
         self._store: ShardStore | None = None
         self._store_version: int | None = None
-        self._executor: ParallelShardExecutor | None = None
-        # Multi-host tier: a fault-tolerant client over remote shard
-        # workers (see connect_workers); tied to the attached store's
-        # lifetime exactly like the process-pool executor.
+        # Shard-worker tier: a fault-tolerant client over shard workers
+        # (see connect_workers), tied to the attached store's lifetime,
+        # and the local worker processes start_workers launched for it.
         self._remote: RemoteShardExecutor | None = None
-        # Picklable weight-free screening kernel (scores from projections
-        # only); shared by the serial engine and pool workers.
+        self._worker_processes: list[subprocess.Popen] = []
+        # Weight-free screening kernel (scores from projections only);
+        # shard workers rebuild the same kernel from its kind string.
         self._screen_kernel = None
         # Sorted drug-id table for vectorized id -> index lookups; rebuilt
         # lazily after registrations.
@@ -229,8 +245,7 @@ class DDIScreeningService:
 
     @classmethod
     def from_store(cls, manifest: str | Path, context: str | Path,
-                   workers: list | None = None,
-                   **kwargs) -> "DDIScreeningService":
+                   workers: list | None = None) -> "DDIScreeningService":
         """Cold-boot a service from a shard store + serving context.
 
         ``manifest`` is a :meth:`save_shards` store (exact tier — a
@@ -245,8 +260,8 @@ class DDIScreeningService:
         bitwise-identical to the warm service that wrote the artifacts.
 
         ``workers`` (addresses for :meth:`connect_workers`) wires the
-        multi-host tier in the same call; other ``kwargs`` go to the
-        constructor (e.g. ``num_workers``).
+        shard-worker tier in the same call; the block size, shard count
+        and precision come from the serving context.
         """
         context_path = Path(context)
         with np.load(context_path, allow_pickle=False) as archive:
@@ -272,8 +287,7 @@ class DDIScreeningService:
                       drug_ids=drug_ids[:num_corpus],
                       precision=meta["precision"],
                       block_size=int(meta["block_size"]),
-                      num_shards=int(meta["num_shards"]),
-                      **kwargs)
+                      num_shards=int(meta["num_shards"]))
         # Registered extensions restore as bookkeeping only — their
         # embedding rows come from the store like everyone else's.
         service._smiles = smiles
@@ -432,7 +446,7 @@ class DDIScreeningService:
         return True
 
     # ------------------------------------------------------------------
-    # Out-of-core shard store + parallel execution
+    # Out-of-core shard store
     # ------------------------------------------------------------------
     def save_shards(self, path: str | Path, num_shards: int | None = None,
                     block_size: int | None = None,
@@ -475,10 +489,7 @@ class DDIScreeningService:
         self._cache.shard_manifest = str(manifest)
         return manifest
 
-    def open_shards(self, path: str | Path,
-                    num_workers: int | None = None,
-                    strict: bool = False,
-                    mmap_mode: str | None = "r") -> bool:
+    def open_shards(self, path: str | Path, strict: bool = False) -> bool:
         """Attach a :meth:`save_shards` store memory-mapped; True on success.
 
         The store is attached only if its manifest reads cleanly, its
@@ -487,13 +498,13 @@ class DDIScreeningService:
         ignored (or, with ``strict=True``, the error is raised).  While
         attached, exact-mode screening streams candidate blocks from the
         mapped files (O(block + k) heap) instead of in-memory arrays, and
-        — when ``num_workers`` (here or on the constructor) is > 1 — fans
-        per-shard top-k out to a process pool.  Results stay bitwise-
-        identical to the in-memory engine.  A weight update detaches the
-        store on the next query (the disk arrays no longer describe the
-        cache) and screening falls back in-memory; drug registrations are
-        *appended through* to an attached exact store instead (see
-        :meth:`register_drugs`).
+        the store can serve shard workers (:meth:`start_workers`,
+        :meth:`connect_workers`).  Results stay bitwise-identical to the
+        in-memory engine.  A weight update detaches the store — and stops
+        its workers — on the next query (the disk arrays no longer
+        describe the cache) and screening falls back in-memory; drug
+        registrations are *appended through* to an attached exact store
+        instead (see :meth:`register_drugs`).
 
         The attaching process owns the store: any torn state a crashed
         writer left behind (intent journal, partial segment files) is
@@ -502,7 +513,7 @@ class DDIScreeningService:
         ``service.shard_store.recovered``.
         """
         try:
-            store = ShardStore(path, mmap_mode=mmap_mode, recover=True)
+            store = ShardStore(path, recover=True)
         except (OSError, ValueError, KeyError):
             if strict:
                 raise
@@ -543,24 +554,15 @@ class DDIScreeningService:
             # them would force a version-bumping recompute that detaches
             # the store).
             self._cache.projections = None
-        if num_workers is not None:
-            if num_workers < 0:
-                raise ValueError("num_workers must be >= 0")
-            self.num_workers = num_workers
         self._cache.shard_manifest = str(store.path)
         return True
 
     def _detach_store(self) -> None:
         self._store = None
         self._store_version = None
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-        if self._remote is not None:
-            # Remote workers serve the detached store's shards — their
-            # answers no longer describe the cache.
-            self._remote.close()
-            self._remote = None
+        # Shard workers serve the detached store's shards — their answers
+        # no longer describe the cache.
+        self.disconnect_workers()
         self._catalog_engine = None
         self._catalog_key = None
 
@@ -570,15 +572,21 @@ class DDIScreeningService:
                 and self._store_version != self._cache.version):
             self._detach_store()
 
-    def _get_executor(self) -> ParallelShardExecutor:
-        if self._executor is None:
-            self._executor = ParallelShardExecutor(
-                self._store, num_workers=self.num_workers)
-        return self._executor
+    # ------------------------------------------------------------------
+    # Shard-worker tier
+    # ------------------------------------------------------------------
+    def _exact_store(self, caller: str) -> ShardStore:
+        """The attached exact store shard workers serve, or raise."""
+        self._sync_store()
+        if self._store is None:
+            raise RuntimeError(
+                f"{caller} needs an attached shard store "
+                "(save_shards + open_shards first)")
+        if self._store.is_quantized:
+            raise ValueError("remote screening serves the exact tier; "
+                             "a quantized store is approximate-only")
+        return self._store
 
-    # ------------------------------------------------------------------
-    # Multi-host tier
-    # ------------------------------------------------------------------
     def connect_workers(self, workers: list,
                         **kwargs) -> RemoteShardExecutor:
         """Route exact-mode screens to remote shard workers.
@@ -592,26 +600,52 @@ class DDIScreeningService:
         attached exact store — the local mmap copy is the failover of
         last resort, and the store's manifest is what worker manifests
         are validated against.  Screens stay bitwise-identical to the
-        in-process plans under any fault schedule.
+        in-process plans under any fault schedule.  Connecting replaces
+        any prior workers, stopping those :meth:`start_workers` launched.
         """
-        self._sync_store()
-        if self._store is None:
-            raise RuntimeError(
-                "connect_workers needs an attached shard store "
-                "(save_shards + open_shards first)")
-        if self._store.is_quantized:
-            raise ValueError("remote screening serves the exact tier; "
-                             "a quantized store is approximate-only")
-        if self._remote is not None:
-            self._remote.close()
-        self._remote = RemoteShardExecutor(self._store, workers, **kwargs)
+        store = self._exact_store("connect_workers")
+        self.disconnect_workers()
+        self._remote = RemoteShardExecutor(store, workers, **kwargs)
         return self._remote
 
+    def start_workers(self, count: int,
+                      **connect_kwargs) -> RemoteShardExecutor:
+        """Launch ``count`` local shard worker processes and connect them.
+
+        Each runs ``python -m repro.serving.worker <manifest>`` over the
+        attached exact store on an ephemeral localhost port;
+        ``connect_kwargs`` go to :meth:`connect_workers`.
+        :meth:`disconnect_workers`, :meth:`close` and a store detach stop
+        them.  Each is a fresh interpreter: starting takes ~0.5-1 s.
+        """
+        if count < 1:
+            raise ValueError("start_workers needs count >= 1")
+        manifest = str(self._exact_store("start_workers").path)
+        src = str(Path(__file__).resolve().parents[2])  # this repro's root
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        processes = [subprocess.Popen(
+            [sys.executable, "-m", "repro.serving.worker", manifest],
+            stdout=subprocess.PIPE, text=True, env=env)
+            for _ in range(count)]
+        # A service dropped without close() still stops its workers.
+        weakref.finalize(self, _stop_processes, processes)
+        try:
+            remote = self.connect_workers(
+                [_worker_address(p) for p in processes], **connect_kwargs)
+        except BaseException:
+            _stop_processes(processes)
+            raise
+        self._worker_processes = processes
+        return remote
+
     def disconnect_workers(self) -> None:
-        """Drop the remote tier; screens run in-process again."""
+        """Drop the shard-worker tier and stop started workers; screens
+        run in-process again."""
         if self._remote is not None:
             self._remote.close()
             self._remote = None
+        _stop_processes(self._worker_processes)
 
     @property
     def remote(self) -> RemoteShardExecutor | None:
@@ -619,11 +653,7 @@ class DDIScreeningService:
         return self._remote
 
     def close(self) -> None:
-        """Release the worker pool and remote tier; the service stays
-        usable."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        """Release the shard-worker tier; the service stays usable."""
         self.disconnect_workers()
 
     def __enter__(self) -> "DDIScreeningService":
@@ -751,8 +781,8 @@ class DDIScreeningService:
 
         With an exact shard store attached, the new rows are *appended
         through* to it as a crash-safe segment (a new committed catalog
-        version) instead of detaching it — the out-of-core / parallel /
-        remote tiers keep serving across registrations.  A quantized
+        version) instead of detaching it — the memory-mapped and
+        shard-worker tiers keep serving across registrations.  A quantized
         store cannot absorb exact rows and is detached as before.
         """
         start = time.perf_counter()
@@ -834,16 +864,11 @@ class DDIScreeningService:
     def _invalidate_execution(self) -> None:
         """Reset execution tiers after a store mutation.
 
-        The pool workers opened the pre-mutation manifest at init, so the
-        pool is closed (a fresh one lazily reopens the committed version);
-        remote workers are re-validated on their next request, where
-        version skew triggers a worker-side re-open instead of exclusion.
-        The memoized catalog engine is keyed on the store version and
-        rebuilds by itself.
+        Shard workers still serve the pre-mutation version: they are
+        re-validated on their next request, where version skew triggers a
+        worker-side re-open instead of exclusion.  The memoized catalog
+        engine is keyed on the store version and rebuilds by itself.
         """
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
         if self._remote is not None:
             self._remote.invalidate_validation()
 
@@ -1078,33 +1103,14 @@ class DDIScreeningService:
         resolved = {self._as_query_index(i) for i in exclude}
         # Sorted, so the resolved index order never depends on set/hash
         # iteration order — the same exclusion list produces byte-identical
-        # exclusion arrays in every process (executor dispatch included).
+        # exclusion arrays in every process (worker dispatch included).
         return np.sort(np.fromiter(resolved, dtype=np.int64,
                                    count=len(resolved)))
-
-    def _use_parallel(self, parallel: bool | None, approx: bool) -> bool:
-        """Route a screen to the process pool?  Validates explicit asks."""
-        self._sync_store()
-        available = (self._store is not None
-                     and not self._store.is_quantized
-                     and self.num_workers > 1 and not approx)
-        if parallel is None:
-            return available
-        if parallel and not available:
-            if approx:
-                raise ValueError(
-                    "approximate screening runs in-process; drop "
-                    "parallel=True or use exact mode")
-            raise RuntimeError(
-                "parallel screening needs an attached exact (non-quantized) "
-                "shard store (save_shards + open_shards) and num_workers > 1")
-        return bool(parallel)
 
     def _screen_embeddings(self, query_embeddings: np.ndarray,
                            top_k: int | list[int], exclude: list[np.ndarray],
                            symmetric: bool, approx: bool,
-                           approx_oversample: int,
-                           parallel: bool | None = None
+                           approx_oversample: int
                            ) -> list[list[ScreenHit]]:
         """Shared engine behind screen / screen_batch / screen_smiles.
 
@@ -1112,10 +1118,10 @@ class DDIScreeningService:
         selection; scores are bitwise-identical to
         :meth:`HyGNN.screen_probs` over the full catalog for every block
         size, shard count, query-batch size, and placement (in-memory,
-        memory-mapped, process pool, remote).  ``top_k`` may be
-        per-query: queries are selected and reduced independently, so
-        heterogeneous budgets in one batch reproduce the homogeneous
-        results bitwise.
+        memory-mapped, or shard workers, used whenever connected).
+        ``top_k`` may be per-query: queries are selected and reduced
+        independently, so heterogeneous budgets in one batch reproduce
+        the homogeneous results bitwise.
         Approximate mode prefilters each block with one cheap GEMM (dot:
         the inner products themselves; MLP: a low-rank sketch of the
         split-weight operands), then exact-reranks the
@@ -1125,7 +1131,6 @@ class DDIScreeningService:
         kernel = self._kernel()
         num_queries = len(query_embeddings)
         two_sided = symmetric and not decoder.is_symmetric
-        use_parallel = self._use_parallel(parallel, approx)
         query_proj = decoder.project_queries(
             query_embeddings,
             sides=("as_left", "as_right") if two_sided else ("as_left",))
@@ -1134,6 +1139,9 @@ class DDIScreeningService:
         # are not useful pair evaluations: charge only the eligible ones
         # (every screen excludes at least the query itself).
         eligible = sum(self.num_drugs - e.size for e in exclude)
+        # A stale store detaches here and takes its workers with it, so
+        # they never answer for weights they were not saved under.
+        self._sync_store()
 
         if approx:
             if not decoder.supports_prefilter:
@@ -1153,24 +1161,14 @@ class DDIScreeningService:
             stats.prefilter_pairs += num_queries * self.num_drugs
             stats.pairs_scored += rescored
         else:
-            # The remote tier wins the default routing when connected
-            # (parallel=None); parallel=True still demands the local
-            # process pool, parallel=False forces fully in-process.
             # Every plan is bitwise-identical, so routing is a pure
-            # performance/placement decision.
-            if parallel is None and self._remote is not None \
-                    and self._store is not None:
+            # placement decision.
+            if self._remote is not None:
                 results = self._remote.screen(
                     kernel, query_proj, num_queries, top_k,
                     block_size=self.block_size, exclude=exclude,
                     two_sided=two_sided)
                 stats.remote_screens += num_queries
-            elif use_parallel:
-                results = self._get_executor().screen(
-                    kernel, query_proj, num_queries, top_k,
-                    block_size=self.block_size, exclude=exclude,
-                    two_sided=two_sided)
-                stats.parallel_screens += num_queries
             else:
                 results = self._catalog().screen(
                     exact_score_fn(kernel, query_proj, two_sided),
@@ -1204,7 +1202,6 @@ class DDIScreeningService:
         """
         decoder = self._model.decoder
         needs_sketch = getattr(decoder, "needs_sketch", False)
-        self._sync_store()
         store = self._store
         if store is None:
             if needs_sketch:
@@ -1307,8 +1304,8 @@ class DDIScreeningService:
 
     def screen(self, query: int | str, top_k: int = 5,
                exclude: tuple = (), symmetric: bool = False,
-               approx: bool = False, approx_oversample: int = 4,
-               parallel: bool | None = None) -> list[ScreenHit]:
+               approx: bool = False,
+               approx_oversample: int = 4) -> list[ScreenHit]:
         """Top-k most likely interaction partners of one catalog drug.
 
         ``symmetric=True`` averages σ(γ(x, y)) and σ(γ(y, x)) — the MLP
@@ -1316,17 +1313,14 @@ class DDIScreeningService:
         ``approx=True`` ranks via a cheap prefilter (inner products for the
         dot decoder, a low-rank sketch for the MLP decoder) keeping
         ``top_k * approx_oversample`` candidates for an exact rerank —
-        near-ties beyond the shortlist may be missed.
-        ``parallel`` picks the execution plan: ``None`` (default) uses the
-        process pool whenever a shard store is attached and
-        ``num_workers > 1``; ``False`` forces in-process; ``True`` demands
-        the pool (raises if no store is attached).  Every plan returns
-        bitwise-identical hits.  A one-query :meth:`screen_batch`.
+        near-ties beyond the shortlist may be missed.  Exact screens run on
+        connected shard workers if there are any, in process otherwise;
+        every plan returns bitwise-identical hits.  A one-query
+        :meth:`screen_batch`.
         """
         return self.screen_batch(
             [query], top_k=top_k, exclude=exclude, symmetric=symmetric,
-            approx=approx, approx_oversample=approx_oversample,
-            parallel=parallel)[0]
+            approx=approx, approx_oversample=approx_oversample)[0]
 
     def _normalize_exclude_arg(self, exclude,
                                num_queries: int) -> list[np.ndarray]:
@@ -1356,8 +1350,7 @@ class DDIScreeningService:
     def screen_batch(self, queries: list[int | str],
                      top_k: int | list[int] = 5,
                      exclude: tuple | list = (), symmetric: bool = False,
-                     approx: bool = False, approx_oversample: int = 4,
-                     parallel: bool | None = None
+                     approx: bool = False, approx_oversample: int = 4
                      ) -> list[list[ScreenHit]]:
         """Micro-batched screening: many queries, one pass over the catalog.
 
@@ -1370,8 +1363,7 @@ class DDIScreeningService:
         which is what lets the async gateway coalesce unrelated callers'
         requests into one flush.  Per-query results are bitwise-identical
         to calling :meth:`screen` one query at a time with that query's
-        own ``top_k``/``exclude``.  ``parallel`` routes the batch to the
-        shard process pool exactly as on :meth:`screen`.
+        own ``top_k``/``exclude``.
         """
         if not len(queries):
             return []
@@ -1387,15 +1379,13 @@ class DDIScreeningService:
         query_embs = self._cache.embeddings[np.asarray(indices,
                                                        dtype=np.int64)]
         return self._screen_embeddings(query_embs, top_k, per_query,
-                                       symmetric, approx, approx_oversample,
-                                       parallel=parallel)
+                                       symmetric, approx, approx_oversample)
 
     def screen_smiles(self, smiles: str, top_k: int = 5,
                       symmetric: bool = False,
                       allow_unknown: bool = False,
                       approx: bool = False,
-                      approx_oversample: int = 4,
-                      parallel: bool | None = None) -> list[ScreenHit]:
+                      approx_oversample: int = 4) -> list[ScreenHit]:
         """Screen an *unregistered* SMILES against the catalog (transient).
 
         The query drug is embedded on the fly against the frozen context and
@@ -1406,15 +1396,14 @@ class DDIScreeningService:
         return self.screen_smiles_batch(
             [smiles], top_k=top_k, symmetric=symmetric,
             allow_unknown=allow_unknown, approx=approx,
-            approx_oversample=approx_oversample, parallel=parallel)[0]
+            approx_oversample=approx_oversample)[0]
 
     def screen_smiles_batch(self, smiles_list: list[str],
                             top_k: int | list[int] = 5,
                             symmetric: bool = False,
                             allow_unknown: bool = False,
                             approx: bool = False,
-                            approx_oversample: int = 4,
-                            parallel: bool | None = None
+                            approx_oversample: int = 4
                             ) -> list[list[ScreenHit]]:
         """Micro-batched :meth:`screen_smiles`: one encode, one catalog pass.
 
@@ -1433,5 +1422,4 @@ class DDIScreeningService:
         empty = np.zeros(0, dtype=np.int64)
         return self._screen_embeddings(query_embs, top_k,
                                        [empty] * len(node_lists), symmetric,
-                                       approx, approx_oversample,
-                                       parallel=parallel)
+                                       approx, approx_oversample)

@@ -15,12 +15,12 @@ every placement answers a screen in the same three steps:
 
 Placements differ only in where step 2 runs: :class:`ShardedEmbeddingCatalog`
 runs it inline (over in-memory views, or over memory-mapped shard files as
-:class:`~repro.serving.store.MappedShardCatalog`),
-:class:`~repro.serving.executor.ParallelShardExecutor` in a process pool,
-and :class:`~repro.serving.remote.RemoteShardExecutor` on remote shard
-workers with a local fallback.  The exact-mode unit of work those three
-ship is one function, :func:`screen_exact_shard`, which builds its own
-kernel from the weight-free kernel kind of an :class:`ExactRequest`.
+:class:`~repro.serving.store.MappedShardCatalog`), and
+:class:`~repro.serving.remote.RemoteShardExecutor` on shard worker
+processes — local or remote — with a local fallback.  The exact-mode unit
+of work the workers and the fallback run is one function,
+:func:`screen_exact_shard`, which builds its own kernel from the
+weight-free kernel kind of an :class:`ExactRequest`.
 Results are bitwise-identical for every block size, shard count and
 placement; peak scoring memory is O(block + k) per shard, never O(catalog).
 """
@@ -137,10 +137,9 @@ def exact_score_fn(kernel, query_proj: dict,
 class ExactRequest:
     """What every shard of one exact-mode screen is asked.
 
-    Weight-free and picklable: the kernel travels as its registry *kind*
+    Weight-free: the kernel travels as its registry *kind*
     (:func:`repro.core.decoder.kernel_kind`), so a request crosses a
-    process boundary or a socket as a few bytes plus the query-side
-    projections.
+    socket as a few bytes plus the query-side projections.
     """
 
     kind: str                 # screening-kernel registry name
@@ -154,12 +153,11 @@ def screen_exact_shard(shard: "CatalogShard", request: ExactRequest
                        ) -> list[tuple[np.ndarray, np.ndarray]]:
     """One shard's exact-mode top-k: the unit of work placements ship.
 
-    The process pool, its serial fallback, a remote worker and the remote
-    client's local fallback all run this.  It builds its own kernel from
-    ``request.kind``: kernels keep non-reentrant scratch buffers
-    (:mod:`repro.core.decoder`), so shard calls running concurrently — a
-    remote screen's fan-out threads all falling back at once — must never
-    share one.
+    A shard worker and the remote client's local fallback both run this.
+    It builds its own kernel from ``request.kind``: kernels keep
+    non-reentrant scratch buffers (:mod:`repro.core.decoder`), so shard
+    calls running concurrently — a remote screen's fan-out threads all
+    falling back at once — must never share one.
     """
     score = exact_score_fn(make_kernel(request.kind), request.query_proj,
                            request.two_sided)

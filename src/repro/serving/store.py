@@ -38,8 +38,8 @@ The store is a **versioned, crash-consistent, append-only catalog**:
   ``from_store`` do) repairs any torn state a dead writer left behind:
   a completed-but-unacknowledged commit is tidied, a fully-staged commit is
   rolled forward, and anything else is rolled back with the dead writer's
-  segment files quarantined under ``orphans/``.  Plain readers (pool
-  workers, remote workers) open with the default ``recover=False`` and only
+  segment files quarantined under ``orphans/``.  Plain readers (shard
+  workers) open with the default ``recover=False`` and only
   ever see ``manifest.json`` — always a complete committed state — so a
   live writer's in-flight journal is never disturbed by a concurrent open.
 - Crash-consistency is *driven*, not hoped for: every journal/segment/
@@ -54,12 +54,11 @@ time and its heap allocations stay O(block + k) — a catalog (projections
 included) far larger than RAM streams through the engine.  A store's shards
 are the contiguous row ranges of the engine's shard plan
 (:mod:`repro.serving.shards`), and every placement reads them the same way:
-:class:`MappedShardCatalog` runs the plan inline, and the process pool
-(:mod:`repro.serving.executor`), remote workers and the remote client's
-local fallback (:mod:`repro.serving.remote`) open single shards by manifest
-path and run the one exact per-shard task — no array ever crosses a process
-boundary, and results are bitwise-identical to the in-memory engine for
-every block size and shard count.
+:class:`MappedShardCatalog` runs the plan inline, and shard workers and the
+remote client's local fallback (:mod:`repro.serving.remote`) open single
+shards by manifest path and run the one exact per-shard task — no catalog
+array ever crosses a process boundary, and results are bitwise-identical
+to the in-memory engine for every block size and shard count.
 """
 
 from __future__ import annotations
@@ -200,8 +199,8 @@ class ShardStore:
 
     ``ShardStore(path)`` opens an existing store (``path`` may be the store
     directory or the manifest file itself); :meth:`save` writes one.  Shards
-    open lazily and are memoized per store instance, so a pool worker that
-    is assigned shard *i* maps only shard *i*'s files.
+    open lazily and are memoized per store instance, so a reader that
+    screens only shard *i* maps only shard *i*'s files.
 
     ``recover=True`` runs crash recovery before reading the manifest — only
     the catalog's *owner* (the serving process that mutates it) should pass
@@ -210,14 +209,13 @@ class ShardStore:
     recorded in :attr:`recovered`.
     """
 
-    def __init__(self, path: str | Path, mmap_mode: str | None = "r",
-                 verify_checksums: bool = True, recover: bool = False):
+    def __init__(self, path: str | Path, verify_checksums: bool = True,
+                 recover: bool = False):
         path = Path(path)
         if path.is_dir():
             path = path / MANIFEST_NAME
         self.path = path
         self.root = path.parent
-        self.mmap_mode = mmap_mode
         self.verify_checksums = verify_checksums
         # Crash-injection hook for the chaos tests: when set, every
         # journal/segment/manifest write inside a mutation passes through
@@ -457,7 +455,7 @@ class ShardStore:
 
     def _load(self, name: str) -> np.ndarray:
         with _NPY_LOAD_LOCK:
-            return np.load(self.root / name, mmap_mode=self.mmap_mode)
+            return np.load(self.root / name, mmap_mode="r")
 
     def catalog(self, block_size: int | None = None) -> "MappedShardCatalog":
         """A screening catalog over the memory-mapped shards."""

@@ -253,13 +253,6 @@ class TestArtifactIsolation:
         assert [(h.index, h.probability) for h in approx] == \
             [(h.index, h.probability) for h in reference]
 
-    def test_quantized_store_rejects_parallel_demand(self, setup, tmp_path):
-        service = _service(setup, num_workers=2)
-        manifest = service.save_shards(tmp_path / "q8", quantize="int8")
-        assert service.open_shards(manifest, strict=True)
-        with pytest.raises(RuntimeError, match="non-quantized"):
-            service.screen(0, top_k=3, parallel=True)
-
     def test_quantized_store_is_much_smaller(self, setup, tmp_path):
         service = _service(setup)
         exact = ShardStore(service.save_shards(tmp_path / "exact"))

@@ -1,8 +1,9 @@
-"""Tests for the fault-tolerant multi-host screening tier: wire framing,
+"""Tests for the fault-tolerant shard-worker screening tier: wire framing,
 deterministic fault injection (`repro.serving.faults`), the shard worker +
 failover client (`repro.serving.remote`), store integrity checksums and
-quarantine, cold boot (`DDIScreeningService.from_store`), process-pool
-hardening against worker death, and the gateway's failure/deadline
+quarantine, cold boot (`DDIScreeningService.from_store`), local worker
+processes (`DDIScreeningService.start_workers`: worker death, weight
+updates, living-catalog reloads), and the gateway's failure/deadline
 accounting.
 
 The contract under test everywhere: under **any** fault schedule — dropped
@@ -11,29 +12,37 @@ torn shard files — the merged top-k is either bitwise-identical to the
 serial in-memory engine or an explicit error; never silently wrong.
 """
 
+import json
 import os
 import signal
 import socket
+import struct
+import subprocess
+import sys
 import threading
 import time
+import zlib
+from pathlib import Path
 
 import asyncio
 
 import numpy as np
 import pytest
 
+import repro
 from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig
 from repro.core.decoder import (KERNEL_KINDS, kernel_kind, make_kernel,
                                 make_screen_kernel)
 from repro.serving import (CircuitBreaker, DDIScreeningService,
                            DeadlineExceeded, FaultInjected, FaultPolicy,
-                           FaultRule, FrameError, ParallelShardExecutor,
-                           RemoteShardError, RemoteShardExecutor,
-                           ScreeningGateway, ShardIntegrityError, ShardStore,
-                           ShardWorker, corrupt_payload, exact_score_fn,
-                           recv_message, send_message)
-from repro.serving.remote import _flatten_arrays, _unflatten_arrays
+                           FaultRule, FrameError, RemoteShardError,
+                           RemoteShardExecutor, ScreeningGateway,
+                           ShardIntegrityError, ShardStore, ShardWorker,
+                           corrupt_payload, exact_score_fn, recv_message,
+                           send_message)
+from repro.serving.remote import (PROTOCOL, _flatten_arrays,
+                                  _unflatten_arrays)
 from repro.serving.shards import validate_shard_results
 
 
@@ -64,6 +73,13 @@ def served(setup, tmp_path_factory):
 
 def _hits(results):
     return [[(h.index, h.probability) for h in hits] for hits in results]
+
+
+def _frame(specs, payload=b""):
+    """A raw wire frame with a valid payload CRC and arbitrary specs."""
+    header = json.dumps({"protocol": PROTOCOL, "arrays": specs,
+                         "crc32": zlib.crc32(payload)}).encode("utf-8")
+    return struct.pack("!I", len(header)) + header + payload
 
 
 def _corrupt_file_tail(path):
@@ -180,10 +196,16 @@ class TestFraming:
             recv_message(pipe)
 
     def test_garbage_header_rejected(self):
-        pipe = _Pipe()
-        pipe.buffer.extend(b"\x00\x00\x00\x04notj")
-        with pytest.raises(FrameError):
-            recv_message(pipe)
+        frames = [
+            b"\x00\x00\x00\x04notj",                 # header not JSON
+            _frame([["a", "<f8", [-1]]]),               # negative dimension
+            _frame([["a", "|O", [1]]], b"\x00" * 8),    # object dtype
+        ]
+        for frame in frames:
+            pipe = _Pipe()
+            pipe.buffer.extend(frame)
+            with pytest.raises(FrameError):
+                recv_message(pipe)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +375,18 @@ class TestShardWorker:
             assert reply["status"] == "error"
             assert "nonsense" in reply["meta"]["message"]
 
+    def test_worker_module_runs_without_runpy_warning(self):
+        """The package never imports the entry module, so ``-m`` runs it
+        without runpy's "found in sys.modules" RuntimeWarning."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.serving.worker", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert "manifest" in result.stdout
+
     def test_screen_request_matches_local_screen_shard(self, setup, served):
         _, config, model, _ = setup
         service, manifest = served
@@ -382,8 +416,7 @@ class TestShardWorker:
 class TestRemoteExecutor:
     def _serial(self, served, **kwargs):
         service, _ = served
-        return _hits(service.screen_batch([0, 5, 9], top_k=6,
-                                          parallel=False, **kwargs))
+        return _hits(service.screen_batch([0, 5, 9], top_k=6, **kwargs))
 
     def test_parity_and_routing(self, served):
         service, manifest = served
@@ -397,10 +430,6 @@ class TestRemoteExecutor:
                 assert service.stats.remote_screens == before + 3
                 assert service.remote.stats["remote_requests"] == 3
                 assert service.remote.stats["local_fallbacks"] == 0
-                # parallel=False still forces fully in-process.
-                forced = _hits(service.screen_batch([0, 5, 9], top_k=6,
-                                                    parallel=False))
-                assert forced == serial
             finally:
                 service.disconnect_workers()
 
@@ -409,8 +438,7 @@ class TestRemoteExecutor:
         queries, top_ks = [1, 4, 7], [2, 6, 4]
         exclude = [(3,), (), (0, 2)]
         serial = _hits(service.screen_batch(
-            queries, top_k=top_ks, exclude=exclude, symmetric=True,
-            parallel=False))
+            queries, top_k=top_ks, exclude=exclude, symmetric=True))
         with ShardWorker(manifest) as worker:
             service.connect_workers([worker], backoff_base_s=0.001)
             try:
@@ -562,8 +590,7 @@ class TestRemoteExecutor:
         service = DDIScreeningService(model, builder, corpus)
         service.open_shards(service.save_shards(tmp_path / "one",
                                                 num_shards=1), strict=True)
-        serial = _hits(service.screen_batch([0, 5, 9], top_k=6,
-                                            parallel=False))
+        serial = _hits(service.screen_batch([0, 5, 9], top_k=6))
         with _TamperingWorker(service.shard_store.path,
                               reverse=True) as worker:
             service.connect_workers([worker], attempts=2,
@@ -640,16 +667,24 @@ class TestRemoteExecutor:
         assert stats["mismatched_workers"] == 1
         assert "mismatched" in states.values()
 
-    def test_connect_workers_requires_attached_exact_store(self, setup,
-                                                           tmp_path):
+    def test_connect_workers_requires_attached_exact_store(
+            self, setup, tmp_path, monkeypatch):
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
         corpus, _, model, builder = setup
         service = DDIScreeningService(model, builder, corpus, num_shards=2)
         with pytest.raises(RuntimeError, match="attached shard store"):
             service.connect_workers([("127.0.0.1", 1)])
+        with pytest.raises(RuntimeError, match="attached shard store"):
+            service.start_workers(2)
         manifest = service.save_shards(tmp_path / "q", quantize="int8")
         assert service.open_shards(manifest)
         with pytest.raises(ValueError, match="quantized"):
             service.connect_workers([("127.0.0.1", 1)])
+        with pytest.raises(ValueError, match="quantized"):
+            service.start_workers(2)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +787,7 @@ class TestColdBoot:
         assert cold.stats.corpus_encodes == 0
         queries = [0, 7, "late_1", "late_2"]
         assert _hits(cold.screen_batch(queries, top_k=6)) == \
-            _hits(warm.screen_batch(queries, top_k=6, parallel=False))
+            _hits(warm.screen_batch(queries, top_k=6))
         np.testing.assert_array_equal(cold.embeddings, warm.embeddings)
         assert cold.stats.corpus_encodes == 0
 
@@ -763,8 +798,7 @@ class TestColdBoot:
                 manifest, context, workers=[worker])
             try:
                 assert _hits(cold.screen_batch([0, 4], top_k=5)) == \
-                    _hits(warm.screen_batch([0, 4], top_k=5,
-                                            parallel=False))
+                    _hits(warm.screen_batch([0, 4], top_k=5))
                 assert cold.stats.remote_screens == 2
                 assert cold.stats.corpus_encodes == 0
             finally:
@@ -813,57 +847,83 @@ class TestColdBoot:
 
 
 # ---------------------------------------------------------------------------
-# Process-pool hardening
+# Local worker processes (start_workers)
 # ---------------------------------------------------------------------------
 class TestExecutorHardening:
-    def _screen_args(self, setup, served):
-        _, config, model, _ = setup
-        service, manifest = served
-        kernel = make_screen_kernel(model.decoder)
-        rng = np.random.default_rng(5)
-        queries = rng.standard_normal((2, config.embed_dim))
-        proj = model.decoder.project_queries(queries, sides=("as_left",))
-        return kernel, proj
+    def test_killed_worker_rebuilds_pool_bitwise(self, served):
+        service, _ = served
+        queries = [0, 5, 9]
+        serial = _hits(service.screen_batch(queries, top_k=6))
+        try:
+            service.start_workers(2, backoff_base_s=0.001)
+            children = list(service._worker_processes)
+            assert _hits(service.screen_batch(queries, top_k=6)) == serial
+            os.kill(children[0].pid, signal.SIGKILL)
+            children[0].wait(timeout=10)
+            assert _hits(service.screen_batch(queries, top_k=6)) == serial
+            stats = service.remote.stats
+            assert stats["failovers"] + stats["local_fallbacks"] >= 1
+        finally:
+            service.disconnect_workers()
+        assert all(child.poll() is not None for child in children)
 
-    def test_killed_worker_rebuilds_pool_bitwise(self, setup, served):
-        service, manifest = served
-        kernel, proj = self._screen_args(setup, served)
-        with ParallelShardExecutor(manifest, num_workers=2) as executor:
-            expected = executor.screen(kernel, proj, 2, 5)
-            victim = next(iter(executor._pool._processes.values()))
-            os.kill(victim.pid, signal.SIGKILL)
-            time.sleep(0.1)
-            again = executor.screen(kernel, proj, 2, 5)
-            assert executor.stats["pool_rebuilds"] == 1
-            assert executor.stats["serial_fallbacks"] == 0
-        for (idx_a, sc_a), (idx_b, sc_b) in zip(expected, again):
-            np.testing.assert_array_equal(idx_a, idx_b)
-            np.testing.assert_array_equal(sc_a, sc_b)
 
-    def test_permanently_broken_pool_degrades_to_serial(self, setup, served,
-                                                        monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-        service, manifest = served
-        kernel, proj = self._screen_args(setup, served)
-        serial = ParallelShardExecutor(manifest, num_workers=1)
-        with serial:
-            expected = serial.screen(kernel, proj, 2, 5)
-        executor = ParallelShardExecutor(manifest, num_workers=2)
+class TestStartedWorkers:
+    """Started worker processes across catalog and weight changes, for one
+    decoder (the in-thread worker tests above cover both).  The tests
+    share one started pair; the weight update, last, stops it."""
 
-        class _Broken:
-            def map(self, *args, **kwargs):
-                raise BrokenProcessPool("worker army deserted")
+    @pytest.fixture(scope="class")
+    def started(self, tmp_path_factory):
+        corpus = _corpus()
+        config = HyGNNConfig(parameter=4, embed_dim=12, hidden_dim=12,
+                             seed=5, decoder="mlp")
+        model, _, builder = HyGNN.for_corpus(corpus, config)
+        service = DDIScreeningService(model, builder, corpus, num_shards=3)
+        root = tmp_path_factory.mktemp("started")
+        service.open_shards(service.save_shards(root / "store"),
+                            strict=True)
+        service.start_workers(2, backoff_base_s=0.001)
+        children = list(service._worker_processes)
+        yield service, children, corpus, model, builder
+        service.close()
 
-            def shutdown(self, **kwargs):
-                pass
+    def test_living_catalog_reloads_started_workers(self, started):
+        service, children, corpus, model, builder = started
+        in_process = DDIScreeningService(model, builder, corpus)
+        queries = [0, 5, "late_1", "late_2"]
+        for target in (service, in_process):
+            target.register_drugs(["CCOCC", "CCNCC"],
+                                  drug_ids=["late_1", "late_2"])
+        expected = _hits(in_process.screen_batch(queries, top_k=6))
+        before = service.stats.remote_screens
+        assert _hits(service.screen_batch(queries, top_k=6)) == expected
+        service.compact_shards()
+        assert _hits(service.screen_batch(queries, top_k=6)) == expected
+        assert service.stats.remote_screens == before + 2 * len(queries)
+        assert service.remote.stats["worker_reloads"] >= 1
+        assert service.remote.stats["local_fallbacks"] == 0
+        assert all(child.poll() is None for child in children)
 
-        monkeypatch.setattr(executor, "_ensure_pool", lambda: _Broken())
-        degraded = executor.screen(kernel, proj, 2, 5)
-        assert executor.stats["serial_fallbacks"] == 1
-        assert executor.stats["pool_rebuilds"] == 1
-        for (idx_a, sc_a), (idx_b, sc_b) in zip(expected, degraded):
-            np.testing.assert_array_equal(idx_a, idx_b)
-            np.testing.assert_array_equal(sc_a, sc_b)
+    def test_weight_update_stops_workers_and_screens_fresh(self, started):
+        service, children, corpus, model, builder = started
+        fresh = DDIScreeningService(model, builder, corpus)
+        late = slice(len(corpus), None)
+        if service.num_drugs > len(corpus):
+            fresh.register_drugs(service._smiles[late],
+                                 drug_ids=service.drug_ids[late])
+        before = service.stats.remote_screens
+        service.screen_batch([0, 5, 9], top_k=6)
+        assert service.stats.remote_screens == before + 3
+        original = model.encoder.node_embedding.data
+        try:
+            model.encoder.node_embedding.data = original + 0.1
+            after = _hits(service.screen_batch([0, 5, 9], top_k=6))
+            assert after == _hits(fresh.screen_batch([0, 5, 9], top_k=6))
+            assert service.remote is None
+            assert all(child.poll() is not None for child in children)
+        finally:
+            model.encoder.node_embedding.data = original
 
 
 # ---------------------------------------------------------------------------

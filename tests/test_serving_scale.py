@@ -366,7 +366,7 @@ class TestEngineParity:
 
 
 class TestScreenEdgeCases:
-    """Degenerate screening shapes the out-of-core/parallel tier must honor
+    """Degenerate screening shapes the out-of-core tier must honor
     identically to the in-memory engine (see also the mmap round-trip
     parity tests in tests/test_serving_store.py)."""
 

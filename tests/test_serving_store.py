@@ -1,12 +1,11 @@
 """Tests for the out-of-core screening tier: the memory-mapped shard store
-(`repro.serving.store`), the multi-process shard executor
-(`repro.serving.executor`), their wiring through `DDIScreeningService`
-(`save_shards` / `open_shards` / `parallel=`), and the serving-layer
+(`repro.serving.store`), its wiring through `DDIScreeningService`
+(`save_shards` / `open_shards` / `start_workers`), and the serving-layer
 bugfixes that rode along (globally unique cache versions, split
 prefilter/exact stats, deterministic exclusion resolution).
 
-The contract under test everywhere: every execution plan — serial
-in-memory, serial memory-mapped, multi-process — returns **bitwise**
+The contract under test everywhere: every execution plan — in-memory,
+memory-mapped, local shard worker processes — returns **bitwise**
 identical ``(indices, probabilities)``.
 """
 
@@ -21,9 +20,8 @@ from repro.core.decoder import MLPDecoder, make_screen_kernel
 from repro.nn import Tensor
 from repro.core.encoder import EncoderContext
 from repro.serving import (DDIScreeningService, EmbeddingCache,
-                           MappedShardCatalog, ParallelShardExecutor,
-                           ShardedEmbeddingCatalog, ShardStore,
-                           exact_score_fn)
+                           MappedShardCatalog, ShardedEmbeddingCatalog,
+                           ShardStore, exact_score_fn)
 
 
 def _corpus(n=36, seed=11):
@@ -194,7 +192,7 @@ class TestMappedCatalog:
 
 
 # ---------------------------------------------------------------------------
-# service wiring: save_shards / open_shards / parallel screens
+# service wiring: save_shards / open_shards / started shard workers
 # ---------------------------------------------------------------------------
 class TestServiceStore:
     def test_mmap_round_trip_bitwise_parity(self, setup, tmp_path):
@@ -205,8 +203,7 @@ class TestServiceStore:
         manifest = service.save_shards(tmp_path / "store", num_shards=4)
         assert service.open_shards(manifest)
         assert service._store is not None
-        mapped = _hits(service.screen_batch(queries, top_k=6, exclude=(3,),
-                                            parallel=False))
+        mapped = _hits(service.screen_batch(queries, top_k=6, exclude=(3,)))
         assert mapped == reference
         single = service.screen(9, top_k=6, exclude=(3,))
         assert [(h.index, h.probability) for h in single] == reference[1]
@@ -217,20 +214,22 @@ class TestServiceStore:
         reference = _hits(service.screen_batch(queries, top_k=8,
                                                symmetric=True))
         service.save_shards(tmp_path / "store", num_shards=3)
-        assert service.open_shards(tmp_path / "store", num_workers=2)
+        assert service.open_shards(tmp_path / "store")
         try:
-            parallel = _hits(service.screen_batch(queries, top_k=8,
-                                                  symmetric=True,
-                                                  parallel=True))
-            assert parallel == reference
-            assert service.stats.parallel_screens == len(queries)
+            service.start_workers(2)
+            children = list(service._worker_processes)
+            remote = _hits(service.screen_batch(queries, top_k=8,
+                                                symmetric=True))
+            assert remote == reference
+            assert service.stats.remote_screens == len(queries)
         finally:
             service.close()
+        assert all(child.poll() is not None for child in children)
 
     def test_parallel_demanded_without_store_raises(self, setup):
         service = _service(setup)
         with pytest.raises(RuntimeError, match="shard store"):
-            service.screen(0, top_k=3, parallel=True)
+            service.start_workers(1)
 
     def test_open_shards_rejects_mismatches(self, setup, tmp_path):
         corpus, _, model, _, builder = setup
@@ -281,8 +280,7 @@ class TestServiceStore:
         assert warm.load_cache(snapshot, strict=True)
         cold = DDIScreeningService.from_store(manifest, context)
         for booted in (warm, cold):
-            assert _hits([booted.screen(3, top_k=5, parallel=False)])[0] \
-                == expected
+            assert _hits([booted.screen(3, top_k=5)])[0] == expected
             assert booted.stats.corpus_encodes == 0
 
         other = f"{service.precision}:{'0' * 32}"
@@ -369,58 +367,22 @@ class TestServiceStore:
         # The manifest rode along and the store reattached automatically.
         assert warm._cache.shard_manifest is not None
         assert warm._store is not None
-        hits = _hits([warm.screen(3, top_k=5, parallel=False)])[0]
+        hits = _hits([warm.screen(3, top_k=5)])[0]
         assert hits == expected
         assert warm.stats.corpus_encodes == 0
 
 
 # ---------------------------------------------------------------------------
-# executor over a synthetic store (no model in the loop)
+# start_workers argument checks
 # ---------------------------------------------------------------------------
 class TestExecutor:
-    def test_executor_bitwise_matches_serial(self, tmp_path):
-        decoder, emb, proj = _synthetic(seed=9, n=150, d=10)
-        kernel = make_screen_kernel(decoder)
-        query_proj = decoder.project_queries(emb[[3, 99]],
-                                             sides=("as_left",))
-        manifest = ShardStore.save(tmp_path / "s", emb, proj, num_shards=4,
-                                   block_size=16)
-        catalog = ShardStore(manifest).catalog()
-        serial = catalog.screen(exact_score_fn(kernel, query_proj), 2, 11,
-                                exclude=np.array([3, 99]))
-        with ParallelShardExecutor(manifest, num_workers=2) as executor:
-            parallel = executor.screen(kernel, query_proj, 2, 11,
-                                       exclude=np.array([3, 99]))
-        for (si, ss), (pi, ps) in zip(serial, parallel):
-            np.testing.assert_array_equal(pi, si)
-            np.testing.assert_array_equal(ps, ss)
-
-    def test_executor_reusable_after_close(self, tmp_path):
-        decoder, emb, proj = _synthetic(seed=2, n=40, d=6)
-        kernel = make_screen_kernel(decoder)
-        query_proj = decoder.project_queries(emb[[0]], sides=("as_left",))
-        manifest = ShardStore.save(tmp_path / "s", emb, proj, num_shards=2)
-        executor = ParallelShardExecutor(manifest, num_workers=2)
-        first = executor.screen(kernel, query_proj, 1, 5)
-        executor.close()
-        second = executor.screen(kernel, query_proj, 1, 5)  # new pool
-        executor.close()
-        np.testing.assert_array_equal(first[0][0], second[0][0])
-
-    def test_bad_worker_count_rejected(self, tmp_path):
-        _, emb, proj = _synthetic(n=10)
-        manifest = ShardStore.save(tmp_path / "s", emb, proj)
-        with pytest.raises(ValueError, match="num_workers"):
-            ParallelShardExecutor(manifest, num_workers=0)
-
-    def test_kernels_pickle_weight_free(self, setup):
-        import pickle
-        _, _, model, _, _ = setup
-        kernel = make_screen_kernel(model.decoder)
-        payload = pickle.dumps(kernel)
-        assert len(payload) < 200  # no weights, no scratch
-        clone = pickle.loads(payload)
-        assert type(clone) is type(kernel)
+    def test_bad_worker_count_rejected(self):
+        corpus = _corpus(n=12)
+        model, _, builder = HyGNN.for_corpus(
+            corpus, HyGNNConfig(parameter=4, embed_dim=8, hidden_dim=8))
+        service = DDIScreeningService(model, builder, corpus)
+        with pytest.raises(ValueError, match="count"):
+            service.start_workers(0)
 
 
 # ---------------------------------------------------------------------------
