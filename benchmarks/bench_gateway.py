@@ -19,14 +19,13 @@ Gates (exit non-zero on violation, so CI can run ``--quick`` as a guard):
    last-ulp; checked with allclose).  Always on, including ``--quick``.
 2. **Micro-batching throughput**: with 32 closed-loop clients, the
    batched gateway (``max_batch=32``) sustains >= ``--min-speedup`` x
-   the QPS of the unbatched gateway (``max_batch=1, max_wait_ms=0`` —
-   the same asyncio path minus coalescing).  Skipped (reported only)
-   when ``os.cpu_count() < 2``.
+   the QPS of the unbatched gateway (``max_batch=1`` — the same asyncio
+   path minus coalescing).  Skipped (reported only) when
+   ``os.cpu_count() < 2``.
 3. **Bounded tail latency**: batched p99 (from
    ``ServiceStats.gateway_latency``) stays under
-   ``max_wait + 2 * clients * serial_single_screen`` — i.e. bounded by
-   the wait window plus a small number of flush durations, never
-   unbounded queueing.
+   ``2 * clients * serial_single_screen`` — i.e. bounded by a small
+   number of flush durations, never unbounded queueing.
 
     PYTHONPATH=src python benchmarks/bench_gateway.py
     PYTHONPATH=src python benchmarks/bench_gateway.py --quick
@@ -70,9 +69,10 @@ def build_service(num_drugs: int, hidden_dim: int, seed: int):
 def check_parity(corpus, service, seed: int, failures: list[str]) -> int:
     """Deterministic flush compositions, each compared to serial calls.
 
-    ``max_wait_ms`` is large and ``max_batch`` exceeds every group, so one
-    ``gather`` is one flush — the composition under test is exactly the
-    composition scored.
+    Every submission in one ``gather`` runs before the batcher task does
+    (the first submission creates or wakes it behind the others), and
+    ``max_batch`` exceeds every group, so one ``gather`` is one flush —
+    the composition under test is exactly the composition scored.
     """
     rng = np.random.default_rng(seed)
     n = service.num_drugs
@@ -80,8 +80,7 @@ def check_parity(corpus, service, seed: int, failures: list[str]) -> int:
 
     def screens(specs):
         async def main():
-            async with ScreeningGateway(service, max_batch=64,
-                                        max_wait_ms=250) as gateway:
+            async with ScreeningGateway(service, max_batch=64) as gateway:
                 return await asyncio.gather(
                     *[gateway.screen(q, top_k=k, exclude=e, symmetric=s)
                       for q, k, e, s in specs])
@@ -118,8 +117,7 @@ def check_parity(corpus, service, seed: int, failures: list[str]) -> int:
     expected_smiles = service.screen_smiles(corpus[3], top_k=4)
 
     async def mixed():
-        async with ScreeningGateway(service, max_batch=64,
-                                    max_wait_ms=250) as gateway:
+        async with ScreeningGateway(service, max_batch=64) as gateway:
             return await asyncio.gather(
                 gateway.screen(6, top_k=4),
                 gateway.screen(7, top_k=2, exclude=(1,)),
@@ -178,9 +176,9 @@ async def _closed_loop(gateway, expected: dict, clients: int,
     return clients * per_client / elapsed
 
 
-def measure_load(service, expected, max_batch: int, max_wait_ms: float,
-                 clients: int, per_client: int, repeats: int,
-                 failures: list[str], label: str):
+def measure_load(service, expected, max_batch: int, clients: int,
+                 per_client: int, repeats: int, failures: list[str],
+                 label: str):
     """Median QPS over ``repeats`` runs + the last run's latency window."""
 
     async def one_run():
@@ -188,8 +186,8 @@ def measure_load(service, expected, max_batch: int, max_wait_ms: float,
         # reported batch sizes describe this phase only.
         service.stats.gateway_latency = LatencyWindow()
         service.stats.gateway_batch_sizes = {}
-        async with ScreeningGateway(service, max_batch=max_batch,
-                                    max_wait_ms=max_wait_ms) as gateway:
+        async with ScreeningGateway(service,
+                                    max_batch=max_batch) as gateway:
             await _closed_loop(gateway, expected, 4, 2, failures,
                                label + " warmup")
             return await _closed_loop(gateway, expected, clients,
@@ -203,8 +201,8 @@ def measure_load(service, expected, max_batch: int, max_wait_ms: float,
 
 
 def run(num_drugs: int, hidden_dim: int, clients: int, per_client: int,
-        repeats: int, max_batch: int, max_wait_ms: float,
-        min_speedup: float, seed: int = 0) -> int:
+        repeats: int, max_batch: int, min_speedup: float,
+        seed: int = 0) -> int:
     failures: list[str] = []
     cpus = os.cpu_count() or 1
 
@@ -234,15 +232,15 @@ def run(num_drugs: int, hidden_dim: int, clients: int, per_client: int,
     print(f"closed loop: {clients} clients x {per_client} requests, "
           f"median of {repeats} runs ...", flush=True)
     unbatched_qps, unbatched_window = measure_load(
-        service, expected, 1, 0.0, clients, per_client, repeats,
-        failures, "unbatched")
+        service, expected, 1, clients, per_client, repeats, failures,
+        "unbatched")
     batched_qps, batched_window = measure_load(
-        service, expected, max_batch, max_wait_ms, clients, per_client,
-        repeats, failures, "batched")
+        service, expected, max_batch, clients, per_client, repeats,
+        failures, "batched")
     speedup = batched_qps / unbatched_qps if unbatched_qps else float("inf")
 
-    # Gate 3: batched p99 bounded by wait window + a few flush durations.
-    p99_bound_s = max_wait_ms / 1e3 + 2 * clients * serial_single_s
+    # Gate 3: batched p99 bounded by a few flush durations.
+    p99_bound_s = 2 * clients * serial_single_s
     p99_s = batched_window.p99
     if not np.isnan(p99_s) and p99_s > p99_bound_s:
         failures.append(f"batched p99 {p99_s * 1e3:.1f} ms exceeds bound "
@@ -257,13 +255,13 @@ def run(num_drugs: int, hidden_dim: int, clients: int, per_client: int,
          f"{serial_single_s * 1e6:9.0f} us"),
         (f"unbatched gateway QPS (max_batch=1)",
          f"{unbatched_qps:9.0f} /s"),
-        (f"batched gateway QPS (max_batch={max_batch}, "
-         f"wait={max_wait_ms:g} ms)", f"{batched_qps:9.0f} /s"),
+        (f"batched gateway QPS (max_batch={max_batch})",
+         f"{batched_qps:9.0f} /s"),
         ("unbatched p50 / p99",
          f"{unbatched_window.p50 * 1e3:5.1f} / {unbatched_window.p99 * 1e3:5.1f} ms"),
         ("batched   p50 / p99",
          f"{batched_window.p50 * 1e3:5.1f} / {batched_window.p99 * 1e3:5.1f} ms"),
-        ("batched p99 bound (wait + 2 x clients x serial)",
+        ("batched p99 bound (2 x clients x serial)",
          f"{p99_bound_s * 1e3:9.1f} ms"),
         ("batch-size histogram (last batched run)",
          str(dict(sorted(service.stats.gateway_batch_sizes.items())))),
@@ -301,7 +299,6 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=None,
                         help="timed runs per mode (default: 5, quick: 3)")
     parser.add_argument("--max-batch", type=int, default=32)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--min-speedup", type=float, default=3.0,
                         help="QPS-ratio floor (0 disables; default: 3.0)")
     parser.add_argument("--seed", type=int, default=0)
@@ -310,8 +307,6 @@ def main() -> int:
         parser.error("--drugs must be >= 20")
     if args.clients < 1 or args.max_batch < 1:
         parser.error("--clients and --max-batch must be >= 1")
-    if args.max_wait_ms < 0:
-        parser.error("--max-wait-ms must be >= 0")
 
     def default(value, quick, full):
         return (quick if args.quick else full) if value is None else value
@@ -319,8 +314,7 @@ def main() -> int:
     per_client = default(args.per_client, 6, 16)
     repeats = default(args.repeats, 3, 5)
     return run(args.drugs, args.hidden_dim, args.clients, per_client,
-               repeats, args.max_batch, args.max_wait_ms,
-               args.min_speedup, seed=args.seed)
+               repeats, args.max_batch, args.min_speedup, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -189,8 +189,7 @@ async def _streaming_phase(service, twin, extras, queries, top_k, clients):
 
     snapshot_refs()
     responses, progress, done, stop = [], [], [0], [False]
-    async with ScreeningGateway(service, max_batch=16,
-                                max_wait_ms=1.0) as gateway:
+    async with ScreeningGateway(service, max_batch=16) as gateway:
         async def client(cid):
             i = 0
             while not stop[0]:

@@ -8,10 +8,14 @@ turns one into the other:
 
 1. Concurrent :meth:`screen` / :meth:`score_pairs` / :meth:`screen_smiles`
    awaits land in a FIFO queue as ``(payload, future)`` records.
-2. A single batcher task collects them — flushing as soon as ``max_batch``
-   requests are buffered or ``max_wait_ms`` has elapsed since the first
-   unflushed arrival, whichever comes first (the classic buffer-and-flush
-   loop; an idle gateway adds no latency beyond the wait window).
+2. A single batcher task *batches while busy*: it never waits for more
+   requests.  Each flush takes the first queued request plus everything
+   already queued behind it, up to ``max_batch``, so requests accumulate
+   only while the previous flush runs — batches grow with load and an
+   idle gateway adds no delay.  Between flushes the batcher yields to the
+   loop once: ``Queue.get`` does not suspend while items are queued, so
+   without the yield a backlog would run flush after flush while answer
+   delivery, new arrivals and admission wait.
 3. Each flush groups compatible requests (same request kind and screening
    flags) and issues **one** coalesced service call per group —
    ``screen_batch`` with per-query ``top_k``/``exclude``,
@@ -117,36 +121,29 @@ class ScreeningGateway:
         cache lifecycle — every flush goes through the public batch entry
         points, staleness checks included.
     max_batch:
-        Flush as soon as this many requests are buffered.  ``1`` disables
+        Most requests one flush takes from the queue.  ``1`` disables
         coalescing (every request is its own flush) — the unbatched
         baseline the benchmark compares against.
-    max_wait_ms:
-        Flush at most this long after the first unflushed arrival.  The
-        knob trades tail latency for batch fill: ``0`` flushes whatever
-        is queued without waiting.
     max_queue:
         Admission cap on pending requests; submissions beyond it raise
         :class:`GatewayOverloaded` immediately.
     default_timeout_ms:
         End-to-end deadline applied to requests that do not pass their
-        own ``timeout_ms`` (``None`` = no deadline).
+        own ``timeout_ms`` (``None`` or ``math.inf`` = no deadline).
     """
 
     def __init__(self, service: DDIScreeningService,
-                 max_batch: int = 32, max_wait_ms: float = 2.0,
-                 max_queue: int = 1024,
+                 max_batch: int = 32, max_queue: int = 1024,
                  default_timeout_ms: float | None = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if default_timeout_ms is not None and default_timeout_ms <= 0:
+        # ``not > 0`` rather than ``<= 0``: a NaN budget never expires.
+        if default_timeout_ms is not None and not default_timeout_ms > 0:
             raise ValueError("default_timeout_ms must be positive")
         self._service = service
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
         self.default_timeout_ms = default_timeout_ms
         self._queue: asyncio.Queue = asyncio.Queue()
@@ -239,10 +236,8 @@ class ScreeningGateway:
     async def drain(self) -> None:
         """Wait until every request admitted so far has been answered.
 
-        The barrier goes through the queue even when the queue looks
-        empty: requests the batcher has already collected into its
-        in-memory buffer are still unanswered, and the barrier is what
-        forces that buffer to flush.
+        The barrier goes through the FIFO queue, so the batcher resolves
+        it only after flushing every request queued ahead of it.
         """
         if self._task is None or self._task.done():
             return
@@ -288,7 +283,7 @@ class ScreeningGateway:
             self._task = loop.create_task(self._run())
         if timeout_ms is None:
             timeout_ms = self.default_timeout_ms
-        if timeout_ms is not None and timeout_ms <= 0:
+        if timeout_ms is not None and not timeout_ms > 0:
             raise ValueError("timeout_ms must be positive")
         now = loop.time()
         request = _Request(
@@ -303,47 +298,23 @@ class ScreeningGateway:
     # Batcher
     # ------------------------------------------------------------------
     async def _run(self) -> None:
-        """Buffer-and-flush loop: one iteration collects and scores a batch."""
-        loop = asyncio.get_running_loop()
-        max_wait = self.max_wait_ms / 1e3
+        """Batch-while-busy loop: flush what is queued, yield, repeat."""
         while True:
-            item = await self._queue.get()
-            stop = item is _STOP
-            barriers: list[_Barrier] = []
             batch: list[_Request] = []
-            if isinstance(item, _Barrier):
-                barriers.append(item)
-            elif isinstance(item, _Request):
+            item = await self._queue.get()
+            # Take what is already queued, never waiting for more.  A drain
+            # barrier or the stop sentinel ends the batch and is handled
+            # once the batch is flushed.
+            while isinstance(item, _Request):
                 batch.append(item)
-            # Collect until the batch is full, the wait window closes, or
-            # a control sentinel forces a flush point.
-            flush_at = loop.time() + max_wait
-            while not stop and not barriers and len(batch) < self.max_batch:
-                if max_wait <= 0 or not batch:
-                    if self._queue.empty():
-                        break
-                    item = self._queue.get_nowait()
-                else:
-                    remaining = flush_at - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = await asyncio.wait_for(self._queue.get(),
-                                                      remaining)
-                    except asyncio.TimeoutError:
-                        break
-                if item is _STOP:
-                    stop = True
-                elif isinstance(item, _Barrier):
-                    barriers.append(item)
-                else:
-                    batch.append(item)
+                if len(batch) >= self.max_batch or self._queue.empty():
+                    break
+                item = self._queue.get_nowait()
             if batch:
                 self._flush(batch)
-            for barrier in barriers:
-                if not barrier.future.done():
-                    barrier.future.set_result(None)
-            if stop:
+            if isinstance(item, _Barrier) and not item.future.done():
+                item.future.set_result(None)
+            if item is _STOP:
                 # Drain whatever arrived after the stop sentinel was cut
                 # in front of (nothing new is admitted once closed).
                 leftovers: list[_Request] = []
@@ -357,6 +328,10 @@ class ScreeningGateway:
                 if leftovers:
                     self._flush(leftovers)
                 return
+            # Queue.get() does not suspend while items are queued: yield
+            # once so a backlog cannot starve answer delivery, arrivals
+            # and admission on the loop.
+            await asyncio.sleep(0)
 
     def _flush(self, batch: list[_Request]) -> None:
         """Score one collected batch: expire, group, coalesce, fan out."""

@@ -1,10 +1,12 @@
 """Tests for the asyncio serving gateway and the heterogeneous batch entry
 points it coalesces into: dynamic micro-batching parity (bitwise vs serial
-``screen``), admission control, per-request deadlines, graceful drain,
-poison-request isolation, invalidation racing in-flight batches, and the
-latency/throughput stats."""
+``screen``), batch-while-busy flushing, admission control, per-request
+deadlines, graceful drain, poison-request isolation, invalidation racing
+in-flight batches, and the latency/throughput stats."""
 
 import asyncio
+import math
+import time
 
 import numpy as np
 import pytest
@@ -138,8 +140,7 @@ class TestGatewayParity:
         smiles_ref = service.screen_smiles(corpus[5], top_k=4)
 
         async def main():
-            async with ScreeningGateway(service, max_batch=16,
-                                        max_wait_ms=10) as gateway:
+            async with ScreeningGateway(service, max_batch=16) as gateway:
                 tasks = [gateway.screen(q, top_k=k, exclude=e)
                          for q, k, e in specs]
                 tasks += [gateway.score_pairs(p) for p in pair_lists]
@@ -160,8 +161,7 @@ class TestGatewayParity:
         base_batches = service.stats.gateway_batches
 
         async def main():
-            async with ScreeningGateway(service, max_batch=4,
-                                        max_wait_ms=1000) as gateway:
+            async with ScreeningGateway(service, max_batch=4) as gateway:
                 return await asyncio.gather(
                     *[gateway.screen(q, top_k=k) for q, k in specs])
 
@@ -176,12 +176,59 @@ class TestGatewayParity:
         serial = [service.screen(q, top_k=3) for q in (0, 1, 2)]
 
         async def main():
-            async with ScreeningGateway(service, max_batch=1,
-                                        max_wait_ms=0) as gateway:
+            async with ScreeningGateway(service, max_batch=1) as gateway:
                 return await asyncio.gather(
                     *[gateway.screen(q, top_k=3) for q in (0, 1, 2)])
 
         assert _hits(asyncio.run(main())) == _hits(serial)
+
+
+# ---------------------------------------------------------------------------
+# Gateway: batch while busy
+# ---------------------------------------------------------------------------
+class TestBatchWhileBusy:
+    def test_batcher_yields_between_flushes_under_backlog(self, setup):
+        service = _service(setup)
+        serial = [service.screen(q, top_k=2) for q in range(6)]
+        seen = []
+
+        async def probe():
+            seen.append(service.stats.gateway_batches)
+
+        async def main():
+            async with ScreeningGateway(service, max_batch=2) as gateway:
+                tasks = [asyncio.ensure_future(gateway.screen(q, top_k=2))
+                         for q in range(6)]
+                await asyncio.sleep(0)  # all six queued, none flushed
+                probe_task = asyncio.ensure_future(probe())
+                results = await asyncio.gather(*tasks)
+                await probe_task
+                return results
+
+        results = asyncio.run(main())
+        # Queue.get() does not suspend on a backlog: without a yield
+        # between flushes the batcher would run all three before the probe.
+        assert len(seen) == 1 and seen[0] < 3
+        assert _hits(results) == _hits(serial)
+        assert service.stats.gateway_batch_sizes == {2: 3}
+
+    def test_closed_loop_callers_keep_full_batches(self, setup):
+        service = _service(setup)
+
+        async def client(gateway, c):
+            for i in range(5):
+                await gateway.screen((c * 5 + i) % service.num_drugs,
+                                     top_k=2)
+
+        async def main():
+            async with ScreeningGateway(service, max_batch=32) as gateway:
+                await asyncio.gather(*[client(gateway, c) for c in range(8)])
+
+        asyncio.run(main())
+        # Each answered client resubmits before the batcher takes its
+        # next batch, so every flush holds all eight though it never
+        # waits for them.
+        assert service.stats.gateway_batch_sizes == {8: 5}
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +240,7 @@ class TestGatewayOperations:
         service.refresh()  # warm the cache outside the measured path
 
         async def main():
-            gateway = ScreeningGateway(service, max_batch=4,
-                                       max_wait_ms=50, max_queue=1)
+            gateway = ScreeningGateway(service, max_batch=4, max_queue=1)
             results = await asyncio.gather(
                 *[gateway.screen(q, top_k=2) for q in (0, 1, 2)],
                 return_exceptions=True)
@@ -207,32 +253,57 @@ class TestGatewayOperations:
         assert rejected and served
         assert service.stats.gateway_rejections == len(rejected)
 
-    def test_deadline_exceeded_before_flush(self, setup):
+    def test_deadline_exceeded_before_flush(self, setup, monkeypatch):
         service = _service(setup)
         service.refresh()
+        real = service.screen_batch
+
+        def slow_screen_batch(*args, **kwargs):
+            time.sleep(0.03)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service, "screen_batch", slow_screen_batch)
 
         async def main():
-            async with ScreeningGateway(service, max_batch=8,
-                                        max_wait_ms=60) as gateway:
+            # max_batch=1: the bounded request stays queued behind the
+            # unbounded one's 30 ms flush, well past its 5 ms budget.
+            async with ScreeningGateway(service, max_batch=1) as gateway:
                 return await asyncio.gather(
-                    gateway.screen(0, top_k=2, timeout_ms=1),
+                    gateway.screen(0, top_k=2),
+                    gateway.screen(1, top_k=2, timeout_ms=5),
                     return_exceptions=True)
 
-        (result,) = asyncio.run(main())
-        assert isinstance(result, DeadlineExceeded)
+        served, expired = asyncio.run(main())
+        assert isinstance(served, list)
+        assert isinstance(expired, DeadlineExceeded)
+        assert "before its batch was scored" in str(expired)
         assert service.stats.gateway_expirations == 1
+
+    def test_nan_timeouts_rejected(self, setup):
+        service = _service(setup)
+        with pytest.raises(ValueError, match="default_timeout_ms"):
+            ScreeningGateway(service, default_timeout_ms=math.nan)
+
+        async def main():
+            async with ScreeningGateway(service) as gateway:
+                with pytest.raises(ValueError, match="timeout_ms"):
+                    await gateway.screen(0, top_k=2, timeout_ms=math.nan)
+                # +inf stays allowed and means no deadline.
+                return await gateway.screen(0, top_k=2, timeout_ms=math.inf)
+
+        assert _hits([asyncio.run(main())]) == _hits(
+            [service.screen(0, top_k=2)])
 
     def test_close_drains_pending_requests(self, setup):
         service = _service(setup)
         serial = [service.screen(q, top_k=3) for q in (0, 1, 2)]
 
         async def main():
-            gateway = ScreeningGateway(service, max_batch=64,
-                                       max_wait_ms=60_000)
+            gateway = ScreeningGateway(service, max_batch=64)
             tasks = [asyncio.ensure_future(gateway.screen(q, top_k=3))
                      for q in (0, 1, 2)]
-            await asyncio.sleep(0.01)  # let the batcher start buffering
-            await gateway.close()      # must flush, not abandon
+            await asyncio.sleep(0)  # queued; the batcher runs after us
+            await gateway.close()   # must flush, not abandon
             return await asyncio.gather(*tasks)
 
         assert _hits(asyncio.run(main())) == _hits(serial)
@@ -252,15 +323,14 @@ class TestGatewayOperations:
         service = _service(setup)
 
         async def main():
-            gateway = ScreeningGateway(service, max_batch=64,
-                                       max_wait_ms=60_000)
+            gateway = ScreeningGateway(service, max_batch=64)
             tasks = [asyncio.ensure_future(gateway.screen(q, top_k=2))
                      for q in (0, 1)]
-            await asyncio.sleep(0.01)
+            await asyncio.sleep(0)  # queued; the batcher runs after us
             await gateway.drain()
-            # The request futures are resolved; one loop pass lets the
-            # awaiting tasks resume.  max_wait_ms is 60 s, so completion
-            # here can only come from the drain-triggered flush.
+            # The barrier sits behind both requests, so drain() returns
+            # only after the flush that answered them; one loop pass
+            # lets the awaiting tasks resume.
             done, pending = await asyncio.wait(tasks, timeout=1.0)
             assert not pending
             await gateway.close()
@@ -272,8 +342,7 @@ class TestGatewayOperations:
         expected = service.screen(0, top_k=3)
 
         async def main():
-            async with ScreeningGateway(service, max_batch=3,
-                                        max_wait_ms=1000) as gateway:
+            async with ScreeningGateway(service, max_batch=3) as gateway:
                 return await asyncio.gather(
                     gateway.screen(0, top_k=3),
                     gateway.screen("no_such_drug", top_k=3),
@@ -321,23 +390,27 @@ class TestInvalidationRace:
         service.refresh()
         assert service.stats.corpus_encodes == 1
 
+        flushed = []
+
         async def main():
-            async with ScreeningGateway(service, max_batch=4,
-                                        max_wait_ms=60_000) as gateway:
-                tasks = [asyncio.ensure_future(gateway.screen(q, top_k=3))
-                         for q in (0, 1, 2)]
-                await asyncio.sleep(0.01)   # requests are enqueued, no flush
-                assert not any(t.done() for t in tasks)
-                # The weight update lands while the batch is in flight.
-                table = model.encoder.node_embedding
-                table.data = table.data + 0.05
-                # The fourth request completes the batch and triggers the
-                # flush, which must re-check freshness before scoring.
-                tasks.append(asyncio.ensure_future(gateway.screen(3,
-                                                                  top_k=3)))
-                return await asyncio.gather(*tasks)
+            async with ScreeningGateway(service, max_batch=4) as gateway:
+                real_flush = gateway._flush
+
+                def update_then_flush(batch):
+                    if not flushed:
+                        # The weight update lands after all four requests
+                        # were enqueued, before their batch is scored.
+                        table = model.encoder.node_embedding
+                        table.data = table.data + 0.05
+                    flushed.append(len(batch))
+                    real_flush(batch)
+
+                gateway._flush = update_then_flush
+                return await asyncio.gather(
+                    *[gateway.screen(q, top_k=3) for q in (0, 1, 2, 3)])
 
         results = asyncio.run(main())
+        assert flushed == [4]
         # One rebuild, after the update: the flush saw the new weights.
         assert service.stats.corpus_encodes == 2
         # Every request in the flush was answered from the *new* cache
@@ -375,8 +448,7 @@ class TestGatewayStats:
         service = _service(setup)
 
         async def main():
-            async with ScreeningGateway(service, max_batch=4,
-                                        max_wait_ms=20) as gateway:
+            async with ScreeningGateway(service, max_batch=4) as gateway:
                 await asyncio.gather(
                     *[gateway.screen(q, top_k=2) for q in range(8)])
 

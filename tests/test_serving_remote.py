@@ -937,8 +937,7 @@ class TestGatewayFaults:
 
     def test_gateway_failures_counted_per_failed_request(self, service):
         async def main():
-            async with ScreeningGateway(service, max_batch=4,
-                                        max_wait_ms=5.0) as gateway:
+            async with ScreeningGateway(service, max_batch=4) as gateway:
                 return await asyncio.gather(
                     gateway.screen(0, top_k=3),
                     gateway.screen(10_000, top_k=3),   # poison: bad index
@@ -962,8 +961,7 @@ class TestGatewayFaults:
         before = service.stats.gateway_expirations
 
         async def main():
-            async with ScreeningGateway(service, max_batch=2,
-                                        max_wait_ms=0.0) as gateway:
+            async with ScreeningGateway(service, max_batch=2) as gateway:
                 return await asyncio.gather(
                     gateway.screen(0, top_k=3, timeout_ms=20.0),
                     gateway.screen(1, top_k=3),
@@ -988,7 +986,7 @@ class TestGatewayFaults:
         before = service.stats.gateway_failures
 
         async def main():
-            gateway = ScreeningGateway(service, max_batch=4, max_wait_ms=2.0)
+            gateway = ScreeningGateway(service, max_batch=4)
             tasks = [asyncio.ensure_future(gateway.screen(i, top_k=3))
                      for i in range(6)]
             await asyncio.sleep(0)      # let everything enqueue

@@ -522,8 +522,7 @@ class TestGatewayStreaming:
 
         async def main():
             results = []
-            async with ScreeningGateway(service, max_batch=8,
-                                        max_wait_ms=1.0) as gateway:
+            async with ScreeningGateway(service, max_batch=8) as gateway:
                 for wave, smiles in enumerate(extras[:4]):
                     tasks = [asyncio.ensure_future(
                         gateway.screen(query, top_k=top_k))
@@ -568,8 +567,7 @@ class TestGatewayStreaming:
         twin = _service(setup)
 
         async def main():
-            async with ScreeningGateway(service, max_batch=4,
-                                        max_wait_ms=0.5) as gateway:
+            async with ScreeningGateway(service, max_batch=4) as gateway:
                 first = await gateway.screen(0, top_k=3)
                 service.register_drug(extras[5], drug_id="gw-store")
                 second = await gateway.screen(0, top_k=3)
