@@ -12,10 +12,9 @@ weights raises ``ValueError`` instead of going unseen.  (numpy cannot
 freeze a view taken *before* that: a writeable view of a parameter made
 before the service first saw it still writes through.)
 
-Persisted artifacts (cache snapshots, shard stores) carry
-:func:`weights_fingerprint`, a BLAKE2b digest of the weights, which loaders
-compare before trusting them.  ``DDIScreeningService.invalidate()`` remains
-the explicit, guaranteed path.
+Shard stores carry :func:`weights_fingerprint`, a BLAKE2b digest of the
+weights, which loaders compare before trusting them.
+``DDIScreeningService.invalidate()`` remains the explicit, guaranteed path.
 """
 
 from __future__ import annotations
@@ -25,12 +24,11 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from ..core.encoder import EncoderContext
-from ..nn import Module, Tensor
+from ..nn import Module
 
 
 def weights_fingerprint(model: Module) -> str:
@@ -141,7 +139,6 @@ class ServiceStats:
     incremental_encodes: int = 0   # drugs embedded without a rebuild
     cache_hits: int = 0            # queries answered from cached embeddings
     invalidations: int = 0         # caches dropped (stale weights / explicit)
-    cache_loads: int = 0           # warm restarts from a persisted cache
     pairs_scored: int = 0          # exact decoder pair evaluations (eligible)
     prefilter_pairs: int = 0       # approximate-mode prefilter comparisons
     screens: int = 0
@@ -171,9 +168,9 @@ class ServiceStats:
 
 # Cache versions are allocated from one process-wide monotonic counter, so a
 # version number is never reused — not across mutations of one cache, and not
-# across cache *instances* (a snapshot loaded over a warm service must never
-# collide with a version the previous cache object already handed out, or
-# derived structures keyed on the version would serve stale data).
+# across cache *instances*: a version recorded against one cache (a memoized
+# engine's key, an attached store's validation point) can never match
+# another cache's content.
 _VERSION_COUNTER = itertools.count(1)
 
 
@@ -188,7 +185,7 @@ class EmbeddingCache:
     globally unique token reassigned on every content change (from
     ``_VERSION_COUNTER``) so derived structures (the service's sharded
     catalog, an open shard store) know when to rebuild — and can never
-    confuse two caches' states, even across :meth:`load` round-trips.
+    confuse two caches' states.
     """
 
     # The model's parameter arrays the content was computed from; the
@@ -200,9 +197,6 @@ class EmbeddingCache:
     # Low-rank prefilter factors ({"mean", "components"}) behind the
     # projections' "sketch" rows; per (weights, catalog) version like them.
     sketch_factors: dict[str, np.ndarray] | None = None
-    fingerprint: str | None = None        # weights digest of a load() snapshot
-    catalog_digest: str | None = None     # set by save()/load() snapshots
-    shard_manifest: str | None = None     # shard-store manifest path, if any
     version: int = 0                      # globally unique content token
     stats: ServiceStats = field(default_factory=ServiceStats)
 
@@ -303,8 +297,9 @@ class EmbeddingCache:
         """Candidate projections for the cached embeddings, computing once.
 
         ``decoder`` is any module exposing ``candidate_projections`` (see
-        :mod:`repro.core.decoder`).  Snapshots written before projections
-        existed load with ``projections=None`` and recompute here.
+        :mod:`repro.core.decoder`).  A cold boot adopts no projections,
+        and attaching an exact shard store releases them; both recompute
+        here when the in-memory engine next needs them.
         """
         if not self.valid:
             raise RuntimeError("cannot project an invalid cache")
@@ -319,8 +314,8 @@ class EmbeddingCache:
 
         ``decoder`` must expose ``sketch_factors`` / ``sketch_candidates``
         (the MLP decoder's PCA surrogate).  The sketch rows live *inside*
-        the projections dict, so they ride shard blocking, persistence,
-        and the shard store exactly like the exact-kernel projections;
+        the projections dict, so they ride shard blocking and the shard
+        store exactly like the exact-kernel projections;
         the factors ride alongside for query-side sketching.
         """
         projections = self.ensure_projections(decoder)
@@ -331,101 +326,3 @@ class EmbeddingCache:
             projections, self.sketch_factors)
         self.version = next(_VERSION_COUNTER)
         return self.sketch_factors
-
-    # ------------------------------------------------------------------
-    # Persistence: ``.npz`` with the weights digest baked in, so a warm
-    # restart of the screening service can skip the initial corpus encode —
-    # and can *prove* the snapshot still matches the model it is serving.
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path, fingerprint: str,
-             catalog_digest: str | None = None) -> Path:
-        """Write embeddings + encoder context + digests as one ``.npz``.
-
-        ``fingerprint`` digests the weights the content came from;
-        ``catalog_digest`` identifies the drug catalog the rows belong to
-        (one model serves many catalogs).  Loaders compare both.
-        """
-        if not self.valid:
-            raise RuntimeError("cannot save an invalid cache")
-        # np.savez appends ".npz" itself when the suffix is missing; resolve
-        # that here so the returned path is the file that actually exists.
-        path = Path(path)
-        if path.suffix != ".npz":
-            path = path.with_name(path.name + ".npz")
-        arrays = {
-            "fingerprint": np.asarray(fingerprint),
-            "catalog_digest": np.asarray(
-                catalog_digest if catalog_digest is not None
-                else (self.catalog_digest or "")),
-            "embeddings": self.embeddings,
-            "num_context_layers": np.asarray(self.context.num_layers),
-            # Shard-store manifest path (out-of-core tier), if one was
-            # written for this cache's contents — lets a warm restart
-            # reattach the memory-mapped shards automatically.
-            "shard_manifest": np.asarray(self.shard_manifest or ""),
-        }
-        for index, layer in enumerate(self.context.layer_node_feats):
-            arrays[f"context_layer_{index}"] = layer.data
-        if self.projections is not None:
-            arrays["projection_names"] = np.asarray(
-                sorted(self.projections), dtype=str)
-            # Identity projections (the dot decoder) alias the embedding
-            # matrix — record the alias instead of writing the array twice.
-            aliases = [name for name, matrix in self.projections.items()
-                       if matrix is self.embeddings]
-            arrays["projection_aliases"] = np.asarray(sorted(aliases),
-                                                      dtype=str)
-            for name in self.projections:
-                if name not in aliases:
-                    arrays[f"projection_{name}"] = self.projections[name]
-        if self.sketch_factors is not None:
-            arrays["sketch_mean"] = self.sketch_factors["mean"]
-            arrays["sketch_components"] = self.sketch_factors["components"]
-            if self.sketch_factors.get("std") is not None:
-                arrays["sketch_std"] = self.sketch_factors["std"]
-        np.savez_compressed(path, **arrays)
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "EmbeddingCache":
-        """Read a :meth:`save` snapshot back (fresh stats, detached context)."""
-        with np.load(Path(path), allow_pickle=False) as archive:
-            # Snapshots older than the digest carry none and fail the
-            # loader's fingerprint comparison.
-            fingerprint = (str(archive["fingerprint"])
-                           if "fingerprint" in archive.files else None)
-            digest = str(archive["catalog_digest"])
-            num_layers = int(archive["num_context_layers"])
-            context = EncoderContext(layer_node_feats=tuple(
-                Tensor(archive[f"context_layer_{index}"])
-                for index in range(num_layers)))
-            embeddings = archive["embeddings"]
-            manifest = (str(archive["shard_manifest"])
-                        if "shard_manifest" in archive.files else "")
-            projections = None
-            if "projection_names" in archive.files:
-                aliases = (set(str(a) for a in archive["projection_aliases"])
-                           if "projection_aliases" in archive.files else set())
-                projections = {str(name): (embeddings if str(name) in aliases
-                                           else archive[f"projection_{name}"])
-                               for name in archive["projection_names"]}
-            sketch_factors = None
-            if "sketch_mean" in archive.files:
-                sketch_factors = {
-                    "mean": archive["sketch_mean"],
-                    "components": archive["sketch_components"]}
-                if "sketch_std" in archive.files:
-                    sketch_factors["std"] = archive["sketch_std"]
-        cache = cls()
-        cache.fingerprint = fingerprint
-        cache.context = context
-        cache.embeddings = embeddings
-        cache.projections = projections
-        cache.sketch_factors = sketch_factors
-        cache.catalog_digest = digest or None
-        cache.shard_manifest = manifest or None
-        # A loaded snapshot is new content as far as derived structures are
-        # concerned: give it a fresh globally unique version so it can never
-        # collide with a version an earlier cache object handed out.
-        cache.version = next(_VERSION_COUNTER)
-        return cache

@@ -507,8 +507,6 @@ class RemoteShardExecutor:
                  breaker_threshold: int = 3,
                  breaker_reset_s: float = 5.0,
                  local_fallback: bool = True,
-                 validate_workers: bool = True,
-                 max_threads: int | None = None,
                  fault_policy: FaultPolicy | None = None,
                  seed: int = 0):
         if not isinstance(store, ShardStore):
@@ -534,10 +532,8 @@ class RemoteShardExecutor:
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.local_fallback = local_fallback
-        self.validate_workers = validate_workers
         self.fault_policy = fault_policy
         self._seed = int(seed)
-        self._max_threads = max_threads
         self._threads: ThreadPoolExecutor | None = None
         self._stats_lock = threading.Lock()
         self.stats: dict[str, int] = {
@@ -568,9 +564,8 @@ class RemoteShardExecutor:
 
     def _ensure_threads(self) -> ThreadPoolExecutor:
         if self._threads is None:
-            size = self._max_threads or min(self._store.num_shards, 16)
             self._threads = ThreadPoolExecutor(
-                max_workers=max(size, 1),
+                max_workers=min(self._store.num_shards, 16),
                 thread_name_prefix="remote-shard")
         return self._threads
 
@@ -800,7 +795,7 @@ class RemoteShardExecutor:
                     raise FaultInjected("injected client-side fault")
                 elif rule.action == "corrupt":
                     raise FrameError("injected client-side corrupt frame")
-        if self.validate_workers and not endpoint.validated:
+        if not endpoint.validated:
             self._validate_endpoint(endpoint)
         self._bump("remote_requests")
         header = {"op": "screen",

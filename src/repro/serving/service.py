@@ -37,7 +37,6 @@ import subprocess
 import sys
 import time
 import weakref
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,8 +150,8 @@ class DDIScreeningService:
         # runs the whole blockwise screen in float32 (half the memory
         # bandwidth on the GEMM-bound hot loop).  float64 (default) stays
         # bitwise-identical to the training-path scores.  The precision is
-        # part of the artifact fingerprint, so float32 caches/stores can
-        # never masquerade as exact-tier artifacts (or vice versa).
+        # part of the artifact fingerprint, so float32 stores can never
+        # masquerade as exact-tier artifacts (or vice versa).
         self._dtype = resolve_precision(precision)
         self._smiles: list[str] = list(catalog_smiles)
         self._drug_ids: list[str] = list(drug_ids)
@@ -170,7 +169,7 @@ class DDIScreeningService:
         # Sharded catalog derived from the cache; rebuilt when the cache
         # version (or either knob) changes.  Versions are globally unique
         # (never reused across cache instances), so the key alone decides
-        # staleness — including after load_cache swaps the cache object.
+        # staleness.
         self._catalog_engine: ShardedEmbeddingCatalog | None = None
         self._catalog_key: tuple | None = None
         # Out-of-core tier: an attached memory-mapped shard store and the
@@ -213,7 +212,9 @@ class DDIScreeningService:
         their incidence node ids), and the serving configuration.
         Together with a :meth:`save_shards` manifest this is a complete
         serving state: a fresh process can screen bitwise-identically to
-        this one without ever re-encoding the corpus.
+        this one without ever re-encoding the corpus.  The bundle lands
+        through a temp file and ``os.replace``, so a failed save leaves
+        any previous context at ``path`` intact.
         """
         self._ensure_fresh()
         path = Path(path)
@@ -240,7 +241,13 @@ class DDIScreeningService:
             arrays[f"context_layer_{index}"] = layer.data
         for index, nodes in enumerate(self._extension_nodes):
             arrays[f"extension_nodes_{index}"] = nodes
-        np.savez_compressed(path, **arrays)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "wb") as handle:
+                np.savez_compressed(handle, **arrays)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)  # only left behind by a failure
         return path
 
     @classmethod
@@ -251,13 +258,16 @@ class DDIScreeningService:
         ``manifest`` is a :meth:`save_shards` store (exact tier — a
         quantized store cannot cold-boot: its int8 pages are not the
         embedding rows), ``context`` a :meth:`save_serving_context`
-        bundle.  The catalog embeddings are *gathered from the shard
-        files* and adopted into the cache, so the corpus hypergraph is
-        never re-encoded (``stats.corpus_encodes`` stays 0); the store is
-        then attached strictly (fingerprint + catalog digest + shard
-        CRC checks all enforced), so a torn or mismatched store fails the
-        boot instead of serving wrong numbers.  Screening afterwards is
-        bitwise-identical to the warm service that wrote the artifacts.
+        bundle.  The store is opened once, recovered, and checked against
+        the context's model and drug list (fingerprint, catalog digest,
+        row count) before any row is read.  The catalog embeddings are
+        then *gathered from the shard files*, each CRC-checked once, and
+        adopted into the cache, so the corpus hypergraph is never
+        re-encoded (``stats.corpus_encodes`` stays 0); that same store is
+        attached.  A torn or mismatched store raises instead of serving
+        wrong numbers.  Screening afterwards is bitwise-identical to the
+        warm service that wrote the artifacts.  To serve an int8 store,
+        boot from the exact one, then :meth:`open_shards` the int8 one.
 
         ``workers`` (addresses for :meth:`connect_workers`) wires the
         shard-worker tier in the same call; the block size, shard count
@@ -303,23 +313,16 @@ class DDIScreeningService:
             raise ValueError(
                 "cold boot needs an exact (non-quantized) shard store; "
                 "int8 pages are not the embedding rows")
-        if store.num_drugs != service.num_drugs:
-            raise ValueError(
-                f"shard store covers {store.num_drugs} drugs; the serving "
-                f"context lists {service.num_drugs}")
-        if store.fingerprint != service._fingerprint():
-            raise ValueError(
-                "shard store fingerprint does not match the model in the "
-                "serving context")
+        service._check_store(store, strict=True)
         # Gathering materialises the rows in RAM (the cache needs them for
-        # pair scoring and registrations) — shard CRCs are verified by
-        # open_shard on the way.
+        # pair scoring and registrations).  open_shard CRC-checks each
+        # file and memoizes the mapped shard, so screens reuse both.
         embeddings = np.concatenate(
             [np.asarray(store.open_shard(index).embeddings)
              for index in range(store.num_shards)],
             axis=0).astype(service._dtype, copy=False)
         service._cache.adopt(service._weights(), encoder_context, embeddings)
-        service.open_shards(store.path, strict=True)
+        service._attach_store(store)
         if workers:
             service.connect_workers(workers)
         return service
@@ -382,69 +385,6 @@ class DDIScreeningService:
             digest.update(b"\x00")
         return digest.hexdigest()
 
-    def save_cache(self, path: str | Path) -> Path:
-        """Persist the embedding cache (encoding first if it is cold).
-
-        The snapshot carries the weight fingerprint and a digest of the
-        catalog contents, so a later :meth:`load_cache` can verify it still
-        matches both the model and the drugs being served.
-        """
-        self._ensure_fresh()
-        return self._cache.save(path, self._fingerprint(),
-                                catalog_digest=self._catalog_digest())
-
-    def load_cache(self, path: str | Path, strict: bool = False) -> bool:
-        """Warm-start from a :meth:`save_cache` snapshot; True on success.
-
-        The snapshot is installed only if it exists, reads cleanly, its
-        fingerprint matches the *current* model weights (serving precision
-        included), and its catalog digest matches this service's exact
-        drug list — otherwise it is ignored (or, with ``strict=True``, the
-        error is raised) and the next query re-encodes as usual.  On
-        success the initial corpus encode is skipped entirely.
-        """
-        try:
-            loaded = EmbeddingCache.load(path)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-            # Missing on first boot, truncated write, foreign file format —
-            # all mean "no usable snapshot", which is not an error here.
-            if strict:
-                raise
-            return False
-        if loaded.fingerprint != self._fingerprint():
-            if strict:
-                raise ValueError(
-                    "persisted cache fingerprint does not match the current "
-                    "model weights")
-            return False
-        if loaded.catalog_digest != self._catalog_digest():
-            if strict:
-                raise ValueError(
-                    "persisted cache was saved for a different drug catalog")
-            return False
-        if (loaded.embeddings.shape[0] != self.num_drugs
-                or loaded.context.num_layers != len(self._model.encoder.layers)):
-            if strict:
-                raise ValueError(
-                    f"persisted cache covers {loaded.embeddings.shape[0]} "
-                    f"drugs / {loaded.context.num_layers} context layers; "
-                    f"this service has {self.num_drugs} drugs / "
-                    f"{len(self._model.encoder.layers)} layers")
-            return False
-        loaded.weights = self._weights()
-        loaded.stats = self._cache.stats
-        self._cache = loaded
-        # No explicit engine invalidation needed: cache versions are
-        # globally unique, so the memoized catalog's key can never match
-        # the freshly loaded cache and the next query rebuilds.
-        self._cache.stats.cache_loads += 1
-        if self._cache.shard_manifest:
-            # The snapshot was saved with an out-of-core shard store next
-            # to it; reattach best-effort (validated against the current
-            # weights and catalog like any open_shards call).
-            self.open_shards(self._cache.shard_manifest)
-        return True
-
     # ------------------------------------------------------------------
     # Out-of-core shard store
     # ------------------------------------------------------------------
@@ -459,9 +399,8 @@ class DDIScreeningService:
         JSON manifest carrying the weight fingerprint and catalog digest.
         Returns the manifest path (pass it — or the directory — to
         :meth:`open_shards`, possibly from a different process or host).
-        The manifest location is remembered on the cache, so a subsequent
-        :meth:`save_cache`/:meth:`load_cache` round-trip reattaches the
-        store automatically.
+        An exact store plus a :meth:`save_serving_context` bundle is what
+        :meth:`from_store` restarts from.
 
         ``quantize="int8"`` writes symmetric per-column-scaled int8 shards
         (~8x smaller store; scales ride the manifest).  A quantized store
@@ -486,7 +425,6 @@ class DDIScreeningService:
             catalog_digest=self._catalog_digest(),
             quantize=quantize,
             sketch_factors=self._cache.sketch_factors)
-        self._cache.shard_manifest = str(manifest)
         return manifest
 
     def open_shards(self, path: str | Path, strict: bool = False) -> bool:
@@ -494,17 +432,17 @@ class DDIScreeningService:
 
         The store is attached only if its manifest reads cleanly, its
         fingerprint matches the *current* model weights, and its catalog
-        digest matches this service's exact drug list — otherwise it is
-        ignored (or, with ``strict=True``, the error is raised).  While
-        attached, exact-mode screening streams candidate blocks from the
-        mapped files (O(block + k) heap) instead of in-memory arrays, and
-        the store can serve shard workers (:meth:`start_workers`,
-        :meth:`connect_workers`).  Results stay bitwise-identical to the
-        in-memory engine.  A weight update detaches the store — and stops
-        its workers — on the next query (the disk arrays no longer
-        describe the cache) and screening falls back in-memory; drug
-        registrations are *appended through* to an attached exact store
-        instead (see :meth:`register_drugs`).
+        digest and row count match this service's exact drug list —
+        otherwise it is ignored (or, with ``strict=True``, the error is
+        raised).  While attached, exact-mode screening streams candidate
+        blocks from the mapped files (O(block + k) heap) instead of
+        in-memory arrays, and the store can serve shard workers
+        (:meth:`start_workers`, :meth:`connect_workers`).  Results stay
+        bitwise-identical to the in-memory engine.  A weight update
+        detaches the store — and stops its workers — on the next query
+        (the disk arrays no longer describe the cache) and screening falls
+        back in-memory; drug registrations are *appended through* to an
+        attached exact store instead (see :meth:`register_drugs`).
 
         The attaching process owns the store: any torn state a crashed
         writer left behind (intent journal, partial segment files) is
@@ -519,43 +457,52 @@ class DDIScreeningService:
                 raise
             return False
         self._ensure_fresh()
+        if not self._check_store(store, strict):
+            return False
+        self._attach_store(store)
+        return True
+
+    def _check_store(self, store: ShardStore, strict: bool) -> bool:
+        """Whether ``store`` holds this service's rows: same weights
+        fingerprint (serving precision included), catalog digest and row
+        count.  A mismatch raises ``ValueError`` if ``strict``, else
+        returns False."""
         if store.fingerprint != self._fingerprint():
-            if strict:
-                raise ValueError("shard store fingerprint does not match "
-                                 "the current model weights")
-            return False
-        if store.catalog_digest != self._catalog_digest():
-            if strict:
-                raise ValueError("shard store was saved for a different "
-                                 "drug catalog")
-            return False
-        if store.num_drugs != self.num_drugs:
-            if strict:
-                raise ValueError(
-                    f"shard store covers {store.num_drugs} drugs; this "
-                    f"service has {self.num_drugs}")
-            return False
+            problem = ("shard store fingerprint does not match the current "
+                       "model weights")
+        elif store.catalog_digest != self._catalog_digest():
+            problem = "shard store was saved for a different drug catalog"
+        elif store.num_drugs != self.num_drugs:
+            problem = (f"shard store covers {store.num_drugs} drugs; this "
+                       f"service has {self.num_drugs}")
+        else:
+            return True
+        if strict:
+            raise ValueError(problem)
+        return False
+
+    def _attach_store(self, store: ShardStore) -> None:
+        """Serve from a store :meth:`_check_store` accepted."""
         self._detach_store()
+        if store.is_quantized:
+            # Its int8 pages only serve the approximate prefilter; the
+            # shortlist rerank and exact-mode fallback need the exact
+            # projections in memory.  Compute them *before* recording the
+            # version: a later recompute would bump it and detach the store.
+            self._cache.ensure_projections(self._model.decoder)
+        else:
+            # The store now serves the candidate side, so the in-memory
+            # copy of the dominant working set — the precomputed
+            # projections, ~4x the embedding matrix for the MLP decoder —
+            # is redundant: release it.  (Assigned directly, NOT via a
+            # version bump: the cache content the store was validated
+            # against is unchanged.  If the store detaches later,
+            # ensure_projections recomputes lazily.)  The embeddings and
+            # encoder context stay resident — queries and registrations
+            # need them — so the service's floor is O(N·d), not O(N·d·5).
+            self._cache.projections = None
         self._store = store
         self._store_version = self._cache.version
-        if not store.is_quantized:
-            # The store now serves the candidate side, so the in-memory copy
-            # of the dominant working set — the precomputed projections, ~4x
-            # the embedding matrix for the MLP decoder — is redundant:
-            # release it.  (Assigned directly, NOT via a version bump: the
-            # cache content the store was validated against is unchanged.
-            # If the store detaches later, ensure_projections recomputes
-            # lazily.)  The embeddings and encoder context stay resident —
-            # queries and registrations need them — so the service's floor
-            # is O(N·d), not O(N·d·5).
-            # A *quantized* store keeps them instead: its int8 pages only
-            # serve the approximate prefilter, and both the shortlist
-            # rerank and exact-mode fallback need the exact rows (dropping
-            # them would force a version-bumping recompute that detaches
-            # the store).
-            self._cache.projections = None
-        self._cache.shard_manifest = str(store.path)
-        return True
 
     def _detach_store(self) -> None:
         self._store = None
@@ -841,7 +788,7 @@ class DDIScreeningService:
         """Monotone identifier of the catalog contents being served.
 
         Every mutation of the serving rows — rebuild, registration,
-        rollback, cache load — moves the epoch; two screens answered
+        rollback, cold boot — moves the epoch; two screens answered
         under the same epoch are answered from bitwise-identical
         catalogs.  The gateway samples this per flush to count epoch
         swaps observed by live traffic.
@@ -1070,8 +1017,8 @@ class DDIScreeningService:
         *quantized* store only qualifies for approximate screens — its
         int8 pages cannot serve the exact tier, so exact mode falls back
         to the in-memory engine while the store stays attached.  Keys
-        embed the cache's globally unique version, so a rebuilt, appended,
-        or freshly loaded cache can never be served a stale engine.
+        embed the cache's globally unique version, so a rebuilt or
+        appended cache can never be served a stale engine.
         """
         self._sync_store()
         if self._store is not None and (approx or not self._store.is_quantized):
@@ -1245,18 +1192,15 @@ class DDIScreeningService:
                                    dtype=self._dtype)
             return kernel.prefilter_block(query_proj, {operand: page})
 
+        # Attaching a quantized store made the exact projections resident,
+        # and the store detaches before the cache content can change.
         cached_proj = self._cache.projections
         embeddings = self._cache.embeddings
 
         def rerank_rows(indices):
             idx = np.asarray(indices, dtype=np.int64)
-            emb_rows = embeddings[idx]
-            if cached_proj is not None:
-                proj_rows = {name: rows[idx]
-                             for name, rows in cached_proj.items()}
-            else:
-                proj_rows = decoder.candidate_projections(emb_rows)
-            return emb_rows, proj_rows
+            return embeddings[idx], {name: rows[idx]
+                                     for name, rows in cached_proj.items()}
 
         return catalog, prefilter, rerank_rows
 

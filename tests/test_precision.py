@@ -212,27 +212,20 @@ class TestSketchPrefilter:
 # precision / quantization in artifact validation
 # ---------------------------------------------------------------------------
 class TestArtifactIsolation:
-    def test_float32_cache_never_loads_into_float64_service(
-            self, setup, tmp_path):
-        low = _service(setup, precision="float32")
-        snapshot = tmp_path / "cache.npz"
-        low.save_cache(snapshot)
-        exact = _service(setup)
-        assert not exact.load_cache(snapshot)
-        with pytest.raises(ValueError, match="fingerprint"):
-            exact.load_cache(snapshot, strict=True)
-        # ... and the reverse direction.
-        exact_snapshot = tmp_path / "exact.npz"
-        exact.save_cache(exact_snapshot)
-        assert not low.load_cache(exact_snapshot)
-
     def test_float32_store_never_attaches_to_float64_service(
             self, setup, tmp_path):
         low = _service(setup, precision="float32")
         manifest = low.save_shards(tmp_path / "store")
         exact = _service(setup)
         assert not exact.open_shards(manifest)
+        with pytest.raises(ValueError, match="fingerprint"):
+            exact.open_shards(manifest, strict=True)
         assert low.open_shards(manifest, strict=True)
+        # ... and the reverse direction.
+        exact_manifest = exact.save_shards(tmp_path / "exact")
+        assert not low.open_shards(exact_manifest)
+        with pytest.raises(ValueError, match="fingerprint"):
+            low.open_shards(exact_manifest, strict=True)
 
     def test_quantized_store_serves_approx_and_falls_back_exact(
             self, setup, tmp_path):

@@ -164,7 +164,6 @@ class TestCacheInvalidation:
         assert calls == []
         service.save_shards(tmp_path / "store")
         assert service.open_shards(tmp_path / "store", strict=True)
-        service.save_cache(tmp_path / "cache.npz")
         assert len(calls) == 1
 
 
@@ -471,100 +470,3 @@ class TestServingBugSweep:
         long_id = "z" * 64
         with pytest.raises(KeyError, match="unknown drug id"):
             service.score_id_pairs([(ids[0], ids[1]), (long_id, ids[2])])
-
-
-class TestCachePersistence:
-    def test_round_trip_scores_identical(self, setup, query_pairs, tmp_path):
-        corpus, _, model, _, builder = setup
-        service = DDIScreeningService(model, builder, corpus)
-        expected = service.score_pairs(query_pairs)
-        path = service.save_cache(tmp_path / "cache.npz")
-
-        warm = DDIScreeningService(model, builder, corpus)
-        assert warm.load_cache(path)
-        assert np.array_equal(warm.score_pairs(query_pairs), expected)
-
-    def test_warm_restart_skips_corpus_encode(self, setup, query_pairs,
-                                              tmp_path):
-        corpus, _, model, _, builder = setup
-        service = DDIScreeningService(model, builder, corpus)
-        path = service.save_cache(tmp_path / "cache.npz")
-
-        warm = DDIScreeningService(model, builder, corpus)
-        assert warm.load_cache(path)
-        warm.score_pairs(query_pairs)
-        assert warm.stats.corpus_encodes == 0
-        assert warm.stats.cache_loads == 1
-
-    def test_stale_weights_rejected(self, setup, tmp_path):
-        corpus, _, model, _, builder = setup
-        service = DDIScreeningService(model, builder, corpus)
-        path = service.save_cache(tmp_path / "cache.npz")
-
-        bias = model.decoder.f2.bias
-        original = bias.data.copy()
-        try:
-            bias.data = bias.data + 1.0
-            stale = DDIScreeningService(model, builder, corpus)
-            assert not stale.load_cache(path)
-            with pytest.raises(ValueError):
-                stale.load_cache(path, strict=True)
-        finally:
-            bias.data = original
-
-    def test_catalog_size_mismatch_rejected(self, setup, tmp_path):
-        corpus, _, model, _, builder = setup
-        service = DDIScreeningService(model, builder, corpus)
-        path = service.save_cache(tmp_path / "cache.npz")
-
-        smaller = DDIScreeningService(model, builder, corpus[:-2])
-        assert not smaller.load_cache(path)
-
-    def test_same_size_different_catalog_rejected(self, setup, tmp_path):
-        """The weights fingerprint alone cannot identify a catalog — a
-        snapshot for different drugs of the same count must not install."""
-        corpus, _, model, _, builder = setup
-        service = DDIScreeningService(model, builder, corpus)
-        path = service.save_cache(tmp_path / "cache.npz")
-
-        shuffled = list(reversed(corpus))
-        other = DDIScreeningService(model, builder, shuffled)
-        assert not other.load_cache(path)
-        with pytest.raises(ValueError, match="different drug catalog"):
-            other.load_cache(path, strict=True)
-
-    def test_save_path_without_suffix_returns_real_file(self, setup,
-                                                        tmp_path):
-        corpus, _, model, _, builder = setup
-        service = DDIScreeningService(model, builder, corpus)
-        path = service.save_cache(tmp_path / "warm_cache")
-        assert path.suffix == ".npz" and path.exists()
-        warm = DDIScreeningService(model, builder, corpus)
-        assert warm.load_cache(path)
-
-    def test_registration_works_after_warm_restart(self, setup, tmp_path):
-        """The restored context must still support cold-start registration."""
-        corpus, _, model, _, builder = setup
-        service = DDIScreeningService(model, builder, corpus)
-        path = service.save_cache(tmp_path / "cache.npz")
-
-        warm = DDIScreeningService(model, builder, corpus)
-        assert warm.load_cache(path)
-        index = warm.register_drug(corpus[0], drug_id="restored-clone")
-        assert np.allclose(warm.embeddings[index], warm.embeddings[0])
-
-    def test_save_on_cold_service_encodes_first(self, setup, tmp_path):
-        corpus, _, model, _, builder = setup
-        service = DDIScreeningService(model, builder, corpus)
-        service.save_cache(tmp_path / "cache.npz")
-        assert service.stats.corpus_encodes == 1
-
-    def test_missing_or_corrupt_snapshot_returns_false(self, setup, tmp_path):
-        corpus, _, model, _, builder = setup
-        service = DDIScreeningService(model, builder, corpus)
-        assert not service.load_cache(tmp_path / "never_written.npz")
-        garbage = tmp_path / "garbage.npz"
-        garbage.write_bytes(b"not a zip archive")
-        assert not service.load_cache(garbage)
-        with pytest.raises(FileNotFoundError):
-            service.load_cache(tmp_path / "never_written.npz", strict=True)

@@ -41,6 +41,7 @@ from repro.serving import (CircuitBreaker, DDIScreeningService,
                            ShardIntegrityError, ShardStore, ShardWorker,
                            corrupt_payload, exact_score_fn, recv_message,
                            send_message)
+from repro.serving import store as store_module
 from repro.serving.remote import (PROTOCOL, _flatten_arrays,
                                   _unflatten_arrays)
 from repro.serving.shards import validate_shard_results
@@ -756,8 +757,7 @@ class TestStoreIntegrity:
         with ShardWorker(manifest) as worker:
             executor = RemoteShardExecutor(store, [worker], attempts=1,
                                            timeout_s=5.0,
-                                           local_fallback=False,
-                                           validate_workers=False)
+                                           local_fallback=False)
             kernel = make_kernel("dot")
             rng = np.random.default_rng(1)
             proj = {"emb": rng.standard_normal((1, store.embed_dim))}
@@ -829,6 +829,109 @@ class TestColdBoot:
         foreign_context = other.save_serving_context(tmp_path / "foreign")
         with pytest.raises(ValueError):
             DDIScreeningService.from_store(manifest, foreign_context)
+
+    def test_store_opened_and_verified_once(self, booted, monkeypatch):
+        """The boot plus the first exact and approximate screens open one
+        ShardStore, recover it once and CRC-check each of its files once,
+        and answer with the warm service's bits."""
+        warm, _, manifest, context = booted
+        queries = [0, 7, "late_1"]
+        expected = [_hits(warm.screen_batch(queries, top_k=5, approx=approx))
+                    for approx in (False, True)]
+        opened, checked = [], []
+        init, crc32 = ShardStore.__init__, store_module._crc32_file
+
+        def counting_init(self, *args, **kwargs):
+            opened.append(kwargs.get("recover", False))
+            init(self, *args, **kwargs)
+
+        def counting_crc32(path):
+            checked.append(Path(path).name)
+            return crc32(path)
+
+        monkeypatch.setattr(ShardStore, "__init__", counting_init)
+        monkeypatch.setattr(store_module, "_crc32_file", counting_crc32)
+        cold = DDIScreeningService.from_store(manifest, context)
+        assert [_hits(cold.screen_batch(queries, top_k=5, approx=approx))
+                for approx in (False, True)] == expected
+        assert opened == [True]
+        assert sorted(checked) == sorted(
+            json.loads(manifest.read_text())["checksums"])
+        assert cold.stats.corpus_encodes == 0
+
+    @pytest.mark.parametrize("case, error, match", [
+        ("reordered", ValueError, "different drug catalog"),
+        ("fewer_drugs", ValueError, None),
+        ("missing", FileNotFoundError, None),
+        ("garbage", ValueError, None),
+    ], ids=["reordered", "fewer_drugs", "missing", "garbage"])
+    def test_mismatched_or_unreadable_context_rejected(
+            self, setup, booted, tmp_path, case, error, match):
+        corpus, _, model, builder = setup
+        _, _, manifest, _ = booted
+        context = tmp_path / "context.npz"
+        if case == "reordered":  # same model, same size, other catalog
+            other = DDIScreeningService(model, builder, corpus[::-1])
+            other.register_drug("CCOCC", drug_id="late_1")
+            other.register_drug("CCNCC", drug_id="late_2")
+            other.save_serving_context(context)
+        elif case == "fewer_drugs":
+            DDIScreeningService(model, builder,
+                                corpus).save_serving_context(context)
+        elif case == "garbage":
+            context.write_bytes(b"not a zip archive")
+        with pytest.raises(error, match=match):
+            DDIScreeningService.from_store(manifest, context)
+
+    def test_int8_store_stays_attached_after_boot(self, setup, tmp_path):
+        """An int8 store opened after a cold boot keeps serving approximate
+        screens, with the hits of an encoded service serving it."""
+        corpus, _, model, builder = setup
+        encoded = DDIScreeningService(model, builder, corpus, num_shards=2)
+        manifest = encoded.save_shards(tmp_path / "exact")
+        quantized = encoded.save_shards(tmp_path / "int8", quantize="int8")
+        context = encoded.save_serving_context(tmp_path / "context")
+        assert encoded.open_shards(quantized, strict=True)
+        cold = DDIScreeningService.from_store(manifest, context)
+        assert cold.open_shards(quantized, strict=True)
+        queries = [0, 7, 12]
+        answers = []
+        for service in (encoded, cold):
+            exact = _hits(service.screen_batch(queries, top_k=5))
+            approx = _hits(service.screen_batch(queries, top_k=5,
+                                                approx=True))
+            assert service.shard_store is not None
+            assert service.shard_store.is_quantized
+            answers.append((exact, approx))
+        assert answers[0] == answers[1]
+        assert cold.stats.corpus_encodes == 0
+
+    def test_failed_context_save_keeps_previous_context(
+            self, booted, tmp_path, monkeypatch):
+        import shutil
+        warm, _, manifest, context = booted
+        path = tmp_path / "context.npz"
+        shutil.copyfile(context, path)
+        before = path.read_bytes()
+        # Fail mid-archive: on the last encoder-context layer, after the
+        # model archive and before the extension rows.
+        victim = warm._cache.context.layer_node_feats[-1].data
+        write_array = np.lib.format.write_array
+
+        def failing(fid, array, *args, **kwargs):
+            if array is victim:
+                raise OSError("injected: disk full")
+            return write_array(fid, array, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.lib.format, "write_array", failing)
+            with pytest.raises(OSError, match="injected"):
+                warm.save_serving_context(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["context.npz"]
+        rebooted = DDIScreeningService.from_store(manifest, path)
+        assert rebooted.num_drugs == warm.num_drugs
+        assert rebooted.stats.corpus_encodes == 0
 
     def test_pair_scores_and_registration_still_work(self, booted):
         # Runs last in the class: registration grows both catalogs, so

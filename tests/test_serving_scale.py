@@ -575,46 +575,11 @@ class TestVectorizedLookups:
 # persistence of the precomputed projections
 # ---------------------------------------------------------------------------
 class TestProjectionPersistence:
-    def test_round_trip_is_bitwise(self, setup, tmp_path):
-        service = _service(setup)
-        expected = service.screen(2, top_k=6)
-        path = service.save_cache(tmp_path / "cache.npz")
-
-        warm = _service(setup, block_size=10, num_shards=2)
-        assert warm.load_cache(path)
-        assert warm._cache.projections is not None  # no lazy recompute needed
-        saved_keys = set(service._cache.projections)
-        assert set(warm._cache.projections) == saved_keys
-        for name in saved_keys:
-            np.testing.assert_array_equal(warm._cache.projections[name],
-                                          service._cache.projections[name])
-        hits = warm.screen(2, top_k=6)
-        assert [(h.index, h.probability) for h in hits] == \
-            [(h.index, h.probability) for h in expected]
-        assert warm.stats.corpus_encodes == 0
-
-    def test_snapshot_without_projections_recomputes_lazily(self, setup,
-                                                            tmp_path):
-        service = _service(setup)
-        expected = service.screen(4, top_k=5)
-        service._cache.projections = None  # emulate a pre-projection snapshot
-        path = service._cache.save(tmp_path / "old.npz",
-                                   service._fingerprint(),
-                                   catalog_digest=service._catalog_digest())
-
-        warm = _service(setup)
-        assert warm.load_cache(path)
-        assert warm._cache.projections is None
-        hits = warm.screen(4, top_k=5)
-        assert warm._cache.projections is not None
-        assert [(h.index, h.probability) for h in hits] == \
-            [(h.index, h.probability) for h in expected]
-        assert warm.stats.corpus_encodes == 0
-
-    def test_dot_projections_alias_embeddings(self, setup, tmp_path):
+    def test_dot_projections_alias_embeddings(self, setup):
         """The dot decoder's identity 'projection' must never duplicate the
-        embedding matrix — not in memory, not in snapshots, not on append."""
-        corpus, config, model, _, builder = setup
+        embedding matrix — not in memory, not on append.  (On disk:
+        ``TestShardStore::test_alias_projection_not_written_twice``.)"""
+        corpus, config, _, _, _ = setup
         if config.decoder != "dot":
             pytest.skip("aliasing applies to the dot decoder")
         service = _service(setup)
@@ -622,17 +587,6 @@ class TestProjectionPersistence:
         assert service._cache.projections["emb"] is service._cache.embeddings
         service.register_drug(corpus[1], drug_id="alias-check")
         assert service._cache.projections["emb"] is service._cache.embeddings
-        path = service.save_cache(tmp_path / "dot.npz")
-        with np.load(path) as archive:
-            assert "projection_emb" not in archive.files  # not written twice
-        warm = _service(setup)
-        assert warm.load_cache(path) is False  # different catalog (appended)
-        same = DDIScreeningService(
-            model, builder, corpus + [corpus[1]],
-            drug_ids=[f"drug_{i}" for i in range(len(corpus))]
-            + ["alias-check"])
-        assert same.load_cache(path)
-        assert same._cache.projections["emb"] is same._cache.embeddings
 
     def test_registration_appends_projection_rows(self, setup):
         corpus, _, model, _, _ = setup

@@ -133,8 +133,8 @@ class TestShardStore:
             ShardStore(path)
 
     def test_malformed_manifest_raises_value_error(self, tmp_path):
-        """Every corruption mode must surface as ValueError so best-effort
-        openers (open_shards/load_cache reattach) can swallow it."""
+        """Every corruption mode must surface as ValueError so the
+        best-effort opener (open_shards without strict) can swallow it."""
         from repro.serving.store import STORE_FORMAT
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"format": STORE_FORMAT}))  # keys missing
@@ -264,38 +264,28 @@ class TestServiceStore:
             service.open_shards(bad, strict=True)
 
     def test_artifacts_carry_one_digest_string(self, setup, tmp_path):
-        """A store, a cache snapshot and a serving context written here
-        round-trip strictly; the same artifacts carrying another digest
-        string are rejected."""
+        """A store and a serving context written here round-trip
+        strictly; the same store carrying another digest string is
+        rejected."""
         service = _service(setup, num_shards=2)
         expected = _hits([service.screen(3, top_k=5)])[0]
         manifest = service.save_shards(tmp_path / "store")
-        snapshot = service.save_cache(tmp_path / "cache.npz")
         context = service.save_serving_context(tmp_path / "context")
         digest = json.loads(manifest.read_text())["fingerprint"]
         assert digest == service._fingerprint()
         assert digest.startswith(f"{service.precision}:")
         assert _service(setup).open_shards(manifest, strict=True)
-        warm = _service(setup)
-        assert warm.load_cache(snapshot, strict=True)
         cold = DDIScreeningService.from_store(manifest, context)
-        for booted in (warm, cold):
-            assert _hits([booted.screen(3, top_k=5)])[0] == expected
-            assert booted.stats.corpus_encodes == 0
+        assert _hits([cold.screen(3, top_k=5)])[0] == expected
+        assert cold.stats.corpus_encodes == 0
 
         other = f"{service.precision}:{'0' * 32}"
         payload = json.loads(manifest.read_text())
         payload["fingerprint"] = other
         manifest.write_text(json.dumps(payload))
-        with np.load(snapshot) as archive:
-            arrays = dict(archive)
-        arrays["fingerprint"] = np.asarray(other)
-        np.savez_compressed(snapshot, **arrays)
         fresh = _service(setup)
         assert not fresh.open_shards(manifest)
-        assert not fresh.load_cache(snapshot)
         for load in (lambda: fresh.open_shards(manifest, strict=True),
-                     lambda: fresh.load_cache(snapshot, strict=True),
                      lambda: DDIScreeningService.from_store(manifest,
                                                             context)):
             with pytest.raises(ValueError, match="fingerprint"):
@@ -356,21 +346,6 @@ class TestServiceStore:
         finally:
             model.encoder.node_embedding.data = original
 
-    def test_cache_snapshot_round_trips_manifest(self, setup, tmp_path):
-        service = _service(setup, block_size=9)
-        expected = _hits([service.screen(3, top_k=5)])[0]
-        service.save_shards(tmp_path / "store", num_shards=3)
-        snapshot = service.save_cache(tmp_path / "cache.npz")
-
-        warm = _service(setup)
-        assert warm.load_cache(snapshot)
-        # The manifest rode along and the store reattached automatically.
-        assert warm._cache.shard_manifest is not None
-        assert warm._store is not None
-        hits = _hits([warm.screen(3, top_k=5)])[0]
-        assert hits == expected
-        assert warm.stats.corpus_encodes == 0
-
 
 # ---------------------------------------------------------------------------
 # start_workers argument checks
@@ -404,37 +379,6 @@ class TestCacheVersionUniqueness:
         seen = {c1.version, c2.version}
         c1.drop()
         assert c1.version not in seen
-
-    def test_loaded_snapshot_gets_fresh_version(self, tmp_path):
-        cache = self._cache_with(np.ones((3, 2)))
-        path = cache.save(tmp_path / "c.npz", "float64:0123abcd")
-        loaded = EmbeddingCache.load(path)
-        assert loaded.version != 0
-        assert loaded.version != cache.version
-
-    def test_snapshot_over_warm_service_never_serves_stale_engine(
-            self, setup, tmp_path):
-        """Regression: a freshly loaded cache restarts its local state, and
-        the old key scheme (`version += 1` from 0) could collide with the
-        warm service's memoized engine — serving embeddings the snapshot
-        replaced.  Globally unique versions make collision impossible."""
-        service = _service(setup, block_size=6, num_shards=2)
-        expected = _hits([service.screen(0, top_k=4)])[0]
-        engine_before = service._catalog_engine
-        assert engine_before is not None
-        # Emulate a pre-projection-era snapshot: the loaded cache will bump
-        # its version lazily on the first screen, exactly the sequence that
-        # used to recreate the old engine's key.
-        service._cache.projections = None
-        path = service._cache.save(tmp_path / "snap.npz",
-                                   service._fingerprint(),
-                                   catalog_digest=service._catalog_digest())
-        assert service.load_cache(path)
-        hits = _hits([service.screen(0, top_k=4)])[0]
-        assert service._catalog_engine is not engine_before
-        assert (service._catalog_engine._embeddings
-                is service._cache.embeddings)
-        assert hits == expected
 
 
 class TestApproxStats:
