@@ -1,4 +1,4 @@
-"""Precision-tier benchmark: float32 serving, sketch prefilter, int8 store.
+"""Precision-tier benchmark: float32 serving and the sketch prefilter.
 
 The screening engine's exact float64 path is the accuracy reference; this
 script measures what each precision dial buys and verifies the accuracy
@@ -15,11 +15,6 @@ gates that make the dials safe to turn:
    ``top_k * oversample`` survivors.  Gate: at least
    ``--min-approx-speedup`` faster than the exact screen with
    recall@k >= ``--min-recall``.
-3. **int8 shard store** (``save_shards(quantize="int8")``): symmetric
-   per-column-scaled int8 shards feeding the mmap prefilter, with the
-   shortlist reranked against exact in-memory rows.  Gates: store size
-   <= ``--max-size-fraction`` of the float64 store and
-   recall@k >= ``--min-recall`` against the exact screen.
 
 Measured numbers are written to a machine-readable ``BENCH_precision.json``
 (``BENCH_precision_quick.json`` under ``--quick``) so the perf trajectory
@@ -35,15 +30,13 @@ import argparse
 import json
 import statistics
 import sys
-import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig
-from repro.serving import DDIScreeningService, ShardStore, rank_agreement
+from repro.serving import DDIScreeningService, rank_agreement
 
 def _timeit(fn, repeats: int) -> float:
     """Median seconds per call over ``repeats`` timed runs (1 warmup)."""
@@ -69,7 +62,7 @@ def _mean_agreement(reference: list[list[int]],
 def run(num_drugs: int, hidden_dim: int, top_k: int, num_queries: int,
         oversample: int, repeats: int, min_f32_speedup: float,
         min_approx_speedup: float, min_agreement: float, min_recall: float,
-        max_size_fraction: float, output: str, seed: int = 0) -> int:
+        output: str, seed: int = 0) -> int:
     rng = np.random.default_rng(seed)
     print(f"generating {num_drugs}-drug catalog "
           f"(hidden_dim={hidden_dim}) ...", flush=True)
@@ -129,35 +122,6 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_queries: int,
         failures.append(f"sketch-prefilter recall@{top_k} "
                         f"{approx_recall:.4f} below {min_recall}")
 
-    # ------------------------------------------------------------------
-    # 3: int8 shard store (mmap prefilter + exact rerank)
-    # ------------------------------------------------------------------
-    with tempfile.TemporaryDirectory() as tmp:
-        exact_store = ShardStore(
-            exact.save_shards(Path(tmp) / "exact", num_shards=4))
-        # The int8 store is saved from (and attached to) the float32 tier;
-        # its size gate compares against the full float64 store.
-        int8_manifest = low.save_shards(Path(tmp) / "int8", num_shards=4,
-                                        quantize="int8")
-        int8_store = ShardStore(int8_manifest)
-        size_fraction = int8_store.nbytes() / exact_store.nbytes()
-        if not low.open_shards(int8_manifest, strict=True):
-            failures.append("int8 store failed to attach")
-        int8_hits = _index_lists(low.screen_batch(
-            queries, top_k=top_k, approx=True, approx_oversample=oversample))
-        int8_s = _timeit(
-            lambda: low.screen_batch(queries, top_k=top_k, approx=True,
-                                     approx_oversample=oversample),
-            repeats)
-        int8_recall = _mean_agreement(reference, int8_hits)
-        exact_bytes, int8_bytes = exact_store.nbytes(), int8_store.nbytes()
-    if size_fraction > max_size_fraction:
-        failures.append(f"int8 store is {size_fraction:.3f} of the float64 "
-                        f"store; gate is <= {max_size_fraction:.3f}")
-    if int8_recall < min_recall:
-        failures.append(f"int8-prefilter recall@{top_k} {int8_recall:.4f} "
-                        f"below {min_recall}")
-
     width = 52
     per_query = 1e3 / num_queries
     print()
@@ -169,16 +133,11 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_queries: int,
         ("float32 serving", f32_s, f32_speedup, f32_agreement),
         ("float32 + sketch prefilter + exact rerank", approx_s,
          approx_speedup, approx_recall),
-        ("float32 + int8 store prefilter + exact rerank", int8_s,
-         f64_s / int8_s, int8_recall),
     ]
     for label, seconds, speedup, accuracy in rows:
         print(f"{label:{width}s} {seconds * per_query:9.3f}  {speedup:8.2f}x "
               f"{accuracy:8.2%}")
     print("-" * (width + 31))
-    print(f"{'int8 store size vs float64 store':{width}s} "
-          f"{int8_bytes / 1e6:9.2f} MB vs {exact_bytes / 1e6:.2f} MB "
-          f"({size_fraction:.3f}, gate <= {max_size_fraction:.3f})")
 
     results = {
         "config": {
@@ -194,19 +153,14 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_queries: int,
             "float64": f64_s * 1000,
             "float32": f32_s * 1000,
             "sketch_approx": approx_s * 1000,
-            "int8_approx": int8_s * 1000,
         },
         "float32": {"speedup": f32_speedup, "rank_agreement": f32_agreement},
         "sketch": {"speedup": approx_speedup, "recall": approx_recall},
-        "int8": {"speedup": f64_s / int8_s, "recall": int8_recall,
-                 "store_bytes": int8_bytes, "float64_store_bytes": exact_bytes,
-                 "size_fraction": size_fraction},
         "gates": {
             "min_f32_speedup": min_f32_speedup,
             "min_approx_speedup": min_approx_speedup,
             "min_agreement": min_agreement,
             "min_recall": min_recall,
-            "max_size_fraction": max_size_fraction,
         },
         "failures": failures,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -242,7 +196,6 @@ def main() -> int:
     parser.add_argument("--min-approx-speedup", type=float, default=None)
     parser.add_argument("--min-agreement", type=float, default=0.99)
     parser.add_argument("--min-recall", type=float, default=0.95)
-    parser.add_argument("--max-size-fraction", type=float, default=1 / 6)
     # --quick writes to a separate file by default so a smoke run never
     # clobbers the committed full-gate record.
     parser.add_argument("--output", default=None)
@@ -255,8 +208,8 @@ def main() -> int:
     if args.quick:
         # CI smoke: small enough to finish in seconds.  Timing floors are
         # loose — shared runners are variance-prone and small catalogs
-        # amortise BLAS less — but the accuracy and size gates stay at
-        # full strength (they do not depend on machine speed).
+        # amortise BLAS less — but the accuracy gates stay at full
+        # strength (they do not depend on machine speed).
         defaults = {"drugs": 400, "hidden_dim": 64, "queries": 8,
                     "repeats": 3, "min_f32_speedup": 0.7,
                     "min_approx_speedup": 1.2}
@@ -282,7 +235,6 @@ def main() -> int:
         min_approx_speedup=resolve("min_approx_speedup"),
         min_agreement=args.min_agreement,
         min_recall=args.min_recall,
-        max_size_fraction=args.max_size_fraction,
         output=output,
         seed=args.seed)
 

@@ -7,7 +7,9 @@ the ``.npz`` weights+vocabulary bundle and the catalog SMILES.  The service
 encodes the catalog once, answers batched pair queries from cached
 embeddings, registers a brand-new drug without re-encoding anything, and
 screens it against the whole catalog.  Finally it persists a shard store
-plus serving context and restarts from them without a corpus encode.
+plus serving context and restarts from them without a corpus encode;
+approximate screens return the same bits in memory, from the mapped store
+and after the restart.
 
     python examples/serving_demo.py
 """
@@ -106,12 +108,16 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Out-of-core tier: persist the shards as memory-mapped .npy files +
     # manifest, reopen them, and hand exact screens to two local shard
-    # worker processes.  Every plan returns bitwise-identical hits.
+    # worker processes.  Every plan returns bitwise-identical hits, and an
+    # approximate screen (sketch prefilter + exact rerank) takes the same
+    # path over the mapped store as over memory.
     # ------------------------------------------------------------------
+    approx_memory = sharded.screen_batch(queries, top_k=5, approx=True)
     store_dir = Path(tempfile.mkdtemp()) / "catalog_store"
     manifest = sharded.save_shards(store_dir, num_shards=4)
     assert sharded.open_shards(manifest)
     mapped = sharded.screen_batch(queries, top_k=5)
+    approx_mapped = sharded.screen_batch(queries, top_k=5, approx=True)
     start = time.perf_counter()
     sharded.start_workers(2)
     start_s = time.perf_counter() - start
@@ -130,7 +136,7 @@ def main() -> None:
           f"all bitwise-identical (workers started in {start_s:.1f} s)")
 
     # ------------------------------------------------------------------
-    # Restart without re-encoding: the exact store plus a serving context
+    # Restart without re-encoding: the shard store plus a serving context
     # (model archive, frozen encoder context, drug list) is a complete
     # serving state.  from_store gathers the catalog rows from the shard
     # files, so the restarted service answers with the same bits.
@@ -140,13 +146,20 @@ def main() -> None:
     restarted = DDIScreeningService.from_store(manifest, context)
     restart_ms = (time.perf_counter() - start) * 1e3
     rebooted = restarted.screen_batch(queries, top_k=5)
+    approx_rebooted = restarted.screen_batch(queries, top_k=5, approx=True)
     assert all([(h.index, h.probability) for h in r]
                == [(h.index, h.probability) for h in b]
                for r, b in zip(rebooted, batched))
+    for approx in (approx_mapped, approx_rebooted):
+        assert all([(h.index, h.probability) for h in a]
+                   == [(h.index, h.probability) for h in m]
+                   for a, m in zip(approx, approx_memory))
+    assert restarted.shard_store is not None
     assert restarted.stats.corpus_encodes == 0
     print(f"\nrestarted from the store + serving context in "
           f"{restart_ms:.0f} ms with no corpus encode; {len(rebooted)} "
-          f"screens bitwise-identical")
+          f"exact and {len(approx_rebooted)} approximate screens "
+          f"bitwise-identical (approximate: in memory, mapped, restarted)")
 
     print(f"\nservice stats: {service.stats.as_dict()}")
 

@@ -362,27 +362,21 @@ class MLPDecoder(_ScratchMixin, Module):
         live-branch probability ``Φ((±(μ_j − g_j)) / σ_j)`` from the
         catalog statistics carried in ``factors`` (logistic approximation
         of the normal CDF, computed via the numerically safe ``tanh``).
-        Factors from an older snapshot without ``"std"`` fall back to the
-        hard 0/1 indicator at μ.
         """
         side = query_proj["as_left"]
         g_max, g_min = side["g_max"], side["g_min"]
-        mean, components = factors["mean"], factors["components"]
-        std = factors.get("std")
+        mean, std = factors["mean"], factors["std"]
+        components = factors["components"]
         split = g_max.shape[1]
         live = np.empty((len(g_max), mean.shape[0]), dtype=components.dtype)
-        if std is None:
-            live[:, :split] = mean[:split] > g_max
-            live[:, split:] = mean[split:] < g_min
-        else:
-            live[:, :split] = (mean[:split] - g_max) / std[:split]
-            live[:, split:] = (g_min - mean[split:]) / std[split:]
-            # logistic(1.702·z) ≈ Φ(z), written as tanh so extreme z are
-            # exact 0/1 instead of overflowing an exp.
-            np.multiply(live, 0.851, out=live)
-            np.tanh(live, out=live)
-            np.add(live, 1.0, out=live)
-            np.multiply(live, 0.5, out=live)
+        live[:, :split] = (mean[:split] - g_max) / std[:split]
+        live[:, split:] = (g_min - mean[split:]) / std[split:]
+        # logistic(1.702·z) ≈ Φ(z), written as tanh so extreme z are
+        # exact 0/1 instead of overflowing an exp.
+        np.multiply(live, 0.851, out=live)
+        np.tanh(live, out=live)
+        np.add(live, 1.0, out=live)
+        np.multiply(live, 0.5, out=live)
         return live @ components
 
     def prefilter_block(self, query_proj: dict[str, dict[str, np.ndarray]],

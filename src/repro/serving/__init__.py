@@ -11,14 +11,14 @@ micro-batching, and an optional prefilter (inner products for the dot
 decoder, a low-rank sketch for the MLP decoder) for approximate top-k at
 very large catalog sizes.
 Precision tiers trade exactness for throughput explicitly: float32
-serving halves memory bandwidth on the GEMM-bound hot loop, and int8
-shard stores (~8x smaller) feed the approximate prefilter while the
-shortlist reranks against exact rows.  Under concurrency,
+serving halves memory bandwidth on the GEMM-bound hot loop, and the
+approximate tier shortlists with the prefilter and reranks exactly, from
+memory or from a shard store alike.  Under concurrency,
 :class:`ScreeningGateway` is the
 asyncio front door: it coalesces concurrent requests into dynamic
 micro-batches (one engine pass per flush) with admission control,
 per-request deadlines, graceful drain, and p50/p99/QPS stats — coalesced
-screens stay bitwise-identical to serial calls.
+catalog screens stay bitwise-identical to serial calls.
 
 Out of process, the same engine runs on shard workers — one placement
 for local processes and other hosts alike: :class:`ShardWorker` serves a
@@ -52,16 +52,15 @@ from .faults import (FAULT_ACTIONS, CrashPoint, CrashPolicy, FaultInjected,
                      FaultPolicy, FaultRule, corrupt_payload)
 from .gateway import (DeadlineExceeded, GatewayClosed, GatewayOverloaded,
                       ScreeningGateway)
-from .precision import (QUANTIZATION_SCHEMES, SERVING_PRECISIONS,
-                        dequantize_int8, max_abs_error, quantize_int8,
-                        rank_agreement, recall_at_k, resolve_precision)
+from .precision import (SERVING_PRECISIONS, max_abs_error, rank_agreement,
+                        recall_at_k, resolve_precision)
 from .remote import (CircuitBreaker, FrameError, RemoteShardError,
                      RemoteShardExecutor, ShardWorker, recv_message,
                      send_message)
 from .service import DDIScreeningService, ScreenHit
 from .shards import CatalogShard, ShardedEmbeddingCatalog, exact_score_fn
 from .store import MappedShardCatalog, ShardIntegrityError, ShardStore
-from .topk import TopKAccumulator, merge_top_k, top_k_desc
+from .topk import merge_top_k
 
 __all__ = [
     "DDIScreeningService", "ScreenHit",
@@ -76,8 +75,7 @@ __all__ = [
     "RemoteShardError", "FrameError", "send_message", "recv_message",
     "FaultPolicy", "FaultRule", "FaultInjected", "FAULT_ACTIONS",
     "corrupt_payload", "CrashPoint", "CrashPolicy",
-    "TopKAccumulator", "merge_top_k", "top_k_desc",
-    "SERVING_PRECISIONS", "QUANTIZATION_SCHEMES", "resolve_precision",
-    "quantize_int8", "dequantize_int8",
+    "merge_top_k",
+    "SERVING_PRECISIONS", "resolve_precision",
     "rank_agreement", "recall_at_k", "max_abs_error",
 ]

@@ -194,7 +194,7 @@ class EmbeddingCache:
     context: EncoderContext | None = None
     embeddings: np.ndarray | None = None  # (num_catalog_drugs, hidden_dim)
     projections: dict[str, np.ndarray] | None = None  # candidate precompute
-    # Low-rank prefilter factors ({"mean", "components"}) behind the
+    # Low-rank prefilter factors ({"mean", "std", "components"}) behind the
     # projections' "sketch" rows; per (weights, catalog) version like them.
     sketch_factors: dict[str, np.ndarray] | None = None
     version: int = 0                      # globally unique content token
@@ -298,7 +298,7 @@ class EmbeddingCache:
 
         ``decoder`` is any module exposing ``candidate_projections`` (see
         :mod:`repro.core.decoder`).  A cold boot adopts no projections,
-        and attaching an exact shard store releases them; both recompute
+        and attaching a shard store releases them; both recompute
         here when the in-memory engine next needs them.
         """
         if not self.valid:

@@ -24,12 +24,15 @@ turns one into the other:
    out through the futures.
 
 Because the engine keeps an independent accumulator per query and projects
-query rows individually, a screen answered inside a coalesced flush is
-**bitwise-identical** to the same call made serially — including flushes
-that mix different ``top_k`` values or exclusion lists.  Coalesced
-``score_pairs`` results equal one vectorized call over the combined batch
-(BLAS may batch GEMM rows differently than a serial per-request call;
-differences, when any, are last-ulp).
+query rows individually, a catalog screen answered inside a coalesced
+flush is **bitwise-identical** to the same call made serially — including
+flushes that mix different ``top_k`` values or exclusion lists.  SMILES
+screens and ``score_pairs`` are not: a flush encodes its SMILES in one
+batch and scores its pairs in one vectorized call, and BLAS rounds a
+batched GEMM's rows differently than a serial per-request call, so
+results can differ in the last ulp (see
+``DDIScreeningService.screen_smiles_batch`` and ROADMAP's cold-start
+item).
 
 Operational controls:
 

@@ -1,22 +1,15 @@
-"""Precision-tier helpers: dtype resolution, int8 quantization, gates.
+"""Precision-tier helpers: dtype resolution and accuracy gates.
 
-The serving stack exposes three independent speed/accuracy dials
+The serving stack exposes two independent speed/accuracy dials
 (:class:`~repro.serving.service.DDIScreeningService` composes them):
 
 - ``precision="float32"`` — the whole blockwise screen (projections,
   score blocks, top-k state) runs in float32, halving memory bandwidth
   on the GEMM-bound hot loop.  Rankings are validated against the
   float64 reference with :func:`rank_agreement`.
-- ``approx=True`` — sketch-GEMM shortlist + exact rerank; validated
-  with :func:`recall_at_k`.
-- ``quantize="int8"`` — the on-disk shard store holds symmetric
-  per-column-scaled int8 rows (~8x smaller); the mmap prefilter streams
-  int8 pages and the shortlist reranks against exact rows.
-
-:func:`quantize_int8` / :func:`dequantize_int8` implement the store's
-scheme; the round-trip error of any entry is bounded by half its
-column's scale (rounding to the nearest code), which is what the
-hypothesis invariant in the test suite pins down.
+- ``approx=True`` — sketch-GEMM shortlist + exact rerank, over the
+  in-memory catalog or an attached shard store alike; validated with
+  :func:`recall_at_k`.
 """
 
 from __future__ import annotations
@@ -24,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 SERVING_PRECISIONS = ("float64", "float32")
-QUANTIZATION_SCHEMES = ("int8",)
 
 
 def resolve_precision(precision: str) -> np.dtype:
@@ -33,34 +25,6 @@ def resolve_precision(precision: str) -> np.dtype:
         raise ValueError(f"precision must be one of {SERVING_PRECISIONS}, "
                          f"got {precision!r}")
     return np.dtype(precision)
-
-
-def quantize_int8(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric per-column int8 quantization: ``(codes, scales)``.
-
-    ``scales[j] = max|column j| / 127`` (1.0 for all-zero columns, so
-    dequantization is always a plain multiply) and
-    ``codes = round(matrix / scales)`` — every entry round-trips within
-    ``scales[j] / 2`` of its original value.  Scales are float64
-    regardless of the input dtype; codes are int8.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError("quantize_int8 expects a 2-D matrix")
-    peak = np.abs(matrix).max(axis=0) if len(matrix) else \
-        np.zeros(matrix.shape[1])
-    scales = np.asarray(peak, dtype=np.float64) / 127.0
-    scales[scales == 0.0] = 1.0
-    codes = np.clip(np.round(matrix / scales), -127, 127).astype(np.int8)
-    return codes, scales
-
-
-def dequantize_int8(codes: np.ndarray, scales: np.ndarray,
-                    dtype: np.dtype | str = np.float32) -> np.ndarray:
-    """Reconstruct ``codes * scales`` in ``dtype`` (float32 by default)."""
-    codes = np.asarray(codes)
-    scales = np.asarray(scales, dtype=np.float64)
-    return codes.astype(dtype) * scales.astype(dtype, copy=False)
 
 
 def rank_agreement(reference: np.ndarray, candidate: np.ndarray) -> float:

@@ -233,13 +233,11 @@ class ShardWorker:
 
     def __init__(self, manifest: str | Path | ShardStore,
                  host: str = "127.0.0.1", port: int = 0,
-                 fault_policy: FaultPolicy | None = None,
-                 verify_checksums: bool = True):
+                 fault_policy: FaultPolicy | None = None):
         if isinstance(manifest, ShardStore):
             self.store = manifest
         else:
-            self.store = ShardStore(manifest,
-                                    verify_checksums=verify_checksums)
+            self.store = ShardStore(manifest)
         self.fault_policy = fault_policy
         self._server = _WorkerServer((host, int(port)), _WorkerHandler)
         self._server.shard_worker = self  # type: ignore[attr-defined]
@@ -293,7 +291,6 @@ class ShardWorker:
                 "num_shards": store.num_shards,
                 "block_size": store.block_size,
                 "version": store.version,
-                "quantization": store.quantization,
                 "projections": store.projection_names}
 
     def dispatch(self, connection, header: dict,

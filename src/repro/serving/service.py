@@ -50,7 +50,7 @@ from ..hypergraph import DrugHypergraphBuilder, Hypergraph
 from ..nn import Tensor
 from ..nn.functional import stable_sigmoid
 from .cache import EmbeddingCache, ServiceStats, weights_fingerprint
-from .precision import dequantize_int8, resolve_precision
+from .precision import resolve_precision
 from .remote import RemoteShardExecutor
 from .shards import ShardedEmbeddingCatalog, ShardPlan, exact_score_fn
 from .store import ShardStore
@@ -255,19 +255,17 @@ class DDIScreeningService:
                    workers: list | None = None) -> "DDIScreeningService":
         """Cold-boot a service from a shard store + serving context.
 
-        ``manifest`` is a :meth:`save_shards` store (exact tier — a
-        quantized store cannot cold-boot: its int8 pages are not the
-        embedding rows), ``context`` a :meth:`save_serving_context`
-        bundle.  The store is opened once, recovered, and checked against
-        the context's model and drug list (fingerprint, catalog digest,
-        row count) before any row is read.  The catalog embeddings are
-        then *gathered from the shard files*, each CRC-checked once, and
-        adopted into the cache, so the corpus hypergraph is never
-        re-encoded (``stats.corpus_encodes`` stays 0); that same store is
-        attached.  A torn or mismatched store raises instead of serving
-        wrong numbers.  Screening afterwards is bitwise-identical to the
-        warm service that wrote the artifacts.  To serve an int8 store,
-        boot from the exact one, then :meth:`open_shards` the int8 one.
+        ``manifest`` is a :meth:`save_shards` store, ``context`` a
+        :meth:`save_serving_context` bundle.  The store is opened once,
+        recovered, and checked against the context's model and drug list
+        (fingerprint, catalog digest, row count) before any row is read.
+        The catalog embeddings are then *gathered from the shard files*,
+        each CRC-checked once, and adopted into the cache, so the corpus
+        hypergraph is never re-encoded (``stats.corpus_encodes`` stays 0);
+        that same store is attached.  A torn or mismatched store raises
+        instead of serving wrong numbers.  Screening afterwards — exact
+        and approximate alike, the sketch factors read from the store — is
+        bitwise-identical to the warm service that wrote the artifacts.
 
         ``workers`` (addresses for :meth:`connect_workers`) wires the
         shard-worker tier in the same call; the block size, shard count
@@ -309,10 +307,6 @@ class DDIScreeningService:
         # any torn state (journal roll-forward/back, orphan quarantine)
         # before trusting the manifest.
         store = ShardStore(manifest, recover=True)
-        if store.is_quantized:
-            raise ValueError(
-                "cold boot needs an exact (non-quantized) shard store; "
-                "int8 pages are not the embedding rows")
         service._check_store(store, strict=True)
         # Gathering materialises the rows in RAM (the cache needs them for
         # pair scoring and registrations).  open_shard CRC-checks each
@@ -389,8 +383,7 @@ class DDIScreeningService:
     # Out-of-core shard store
     # ------------------------------------------------------------------
     def save_shards(self, path: str | Path, num_shards: int | None = None,
-                    block_size: int | None = None,
-                    quantize: str | None = None) -> Path:
+                    block_size: int | None = None) -> Path:
         """Persist the sharded catalog as an out-of-core store; see
         :class:`~repro.serving.store.ShardStore`.
 
@@ -399,17 +392,11 @@ class DDIScreeningService:
         JSON manifest carrying the weight fingerprint and catalog digest.
         Returns the manifest path (pass it — or the directory — to
         :meth:`open_shards`, possibly from a different process or host).
-        An exact store plus a :meth:`save_serving_context` bundle is what
-        :meth:`from_store` restarts from.
-
-        ``quantize="int8"`` writes symmetric per-column-scaled int8 shards
-        (~8x smaller store; scales ride the manifest).  A quantized store
-        serves the *approximate* tier only: the mmap prefilter streams
-        int8 pages and the shortlist reranks against exact in-memory rows;
-        exact-mode screens fall back to the in-memory engine.  When the
-        decoder prefilters through a sketch (MLP), the sketch rows and
-        factors are materialised and stored too, so the store is
-        approx-ready on a cold open.
+        The store plus a :meth:`save_serving_context` bundle is what
+        :meth:`from_store` restarts from.  When the decoder prefilters
+        through a sketch (MLP), the sketch rows and factors are
+        materialised and stored too, so the store serves approximate
+        screens on a cold open.
         """
         self._ensure_fresh()
         decoder = self._model.decoder
@@ -423,7 +410,6 @@ class DDIScreeningService:
             block_size=block_size or self.block_size,
             fingerprint=self._fingerprint(),
             catalog_digest=self._catalog_digest(),
-            quantize=quantize,
             sketch_factors=self._cache.sketch_factors)
         return manifest
 
@@ -436,13 +422,14 @@ class DDIScreeningService:
         otherwise it is ignored (or, with ``strict=True``, the error is
         raised).  While attached, exact-mode screening streams candidate
         blocks from the mapped files (O(block + k) heap) instead of
-        in-memory arrays, and the store can serve shard workers
-        (:meth:`start_workers`, :meth:`connect_workers`).  Results stay
-        bitwise-identical to the in-memory engine.  A weight update
-        detaches the store — and stops its workers — on the next query
-        (the disk arrays no longer describe the cache) and screening falls
-        back in-memory; drug registrations are *appended through* to an
-        attached exact store instead (see :meth:`register_drugs`).
+        in-memory arrays, approximate screens prefilter the mapped sketch
+        rows and rerank the mapped shortlist rows, and the store can serve
+        shard workers (:meth:`start_workers`, :meth:`connect_workers`).
+        Results stay bitwise-identical to the in-memory engine.  A weight
+        update detaches the store — and stops its workers — on the next
+        query (the disk arrays no longer describe the cache) and screening
+        falls back in-memory; drug registrations are *appended through* to
+        the attached store instead (see :meth:`register_drugs`).
 
         The attaching process owns the store: any torn state a crashed
         writer left behind (intent journal, partial segment files) is
@@ -484,23 +471,18 @@ class DDIScreeningService:
     def _attach_store(self, store: ShardStore) -> None:
         """Serve from a store :meth:`_check_store` accepted."""
         self._detach_store()
-        if store.is_quantized:
-            # Its int8 pages only serve the approximate prefilter; the
-            # shortlist rerank and exact-mode fallback need the exact
-            # projections in memory.  Compute them *before* recording the
-            # version: a later recompute would bump it and detach the store.
-            self._cache.ensure_projections(self._model.decoder)
-        else:
-            # The store now serves the candidate side, so the in-memory
-            # copy of the dominant working set — the precomputed
-            # projections, ~4x the embedding matrix for the MLP decoder —
-            # is redundant: release it.  (Assigned directly, NOT via a
-            # version bump: the cache content the store was validated
-            # against is unchanged.  If the store detaches later,
-            # ensure_projections recomputes lazily.)  The embeddings and
-            # encoder context stay resident — queries and registrations
-            # need them — so the service's floor is O(N·d), not O(N·d·5).
-            self._cache.projections = None
+        # The store now serves the candidate side, so the in-memory copy
+        # of the dominant working set — the precomputed projections, ~4x
+        # the embedding matrix for the MLP decoder — is redundant: release
+        # it, and the sketch factors with it, so approximate screens read
+        # the factors the store's sketch rows were made with.  (Assigned
+        # directly, NOT via a version bump: the cache content the store
+        # was validated against is unchanged.  If the store detaches
+        # later, ensure_projections recomputes lazily.)  The embeddings
+        # and encoder context stay resident — queries and registrations
+        # need them — so the service's floor is O(N·d), not O(N·d·5).
+        self._cache.projections = None
+        self._cache.sketch_factors = None
         self._store = store
         self._store_version = self._cache.version
 
@@ -522,16 +504,13 @@ class DDIScreeningService:
     # ------------------------------------------------------------------
     # Shard-worker tier
     # ------------------------------------------------------------------
-    def _exact_store(self, caller: str) -> ShardStore:
-        """The attached exact store shard workers serve, or raise."""
+    def _attached_store(self, caller: str) -> ShardStore:
+        """The attached store shard workers serve, or raise."""
         self._sync_store()
         if self._store is None:
             raise RuntimeError(
                 f"{caller} needs an attached shard store "
                 "(save_shards + open_shards first)")
-        if self._store.is_quantized:
-            raise ValueError("remote screening serves the exact tier; "
-                             "a quantized store is approximate-only")
         return self._store
 
     def connect_workers(self, workers: list,
@@ -544,13 +523,13 @@ class DDIScreeningService:
         *attached* shard store's manifest; ``kwargs`` configure the
         :class:`~repro.serving.remote.RemoteShardExecutor` (timeouts,
         retry budget, circuit breakers, local fallback).  Requires an
-        attached exact store — the local mmap copy is the failover of
+        attached store — the local mmap copy is the failover of
         last resort, and the store's manifest is what worker manifests
         are validated against.  Screens stay bitwise-identical to the
         in-process plans under any fault schedule.  Connecting replaces
         any prior workers, stopping those :meth:`start_workers` launched.
         """
-        store = self._exact_store("connect_workers")
+        store = self._attached_store("connect_workers")
         self.disconnect_workers()
         self._remote = RemoteShardExecutor(store, workers, **kwargs)
         return self._remote
@@ -560,14 +539,14 @@ class DDIScreeningService:
         """Launch ``count`` local shard worker processes and connect them.
 
         Each runs ``python -m repro.serving.worker <manifest>`` over the
-        attached exact store on an ephemeral localhost port;
+        attached store on an ephemeral localhost port;
         ``connect_kwargs`` go to :meth:`connect_workers`.
         :meth:`disconnect_workers`, :meth:`close` and a store detach stop
         them.  Each is a fresh interpreter: starting takes ~0.5-1 s.
         """
         if count < 1:
             raise ValueError("start_workers needs count >= 1")
-        manifest = str(self._exact_store("start_workers").path)
+        manifest = str(self._attached_store("start_workers").path)
         src = str(Path(__file__).resolve().parents[2])  # this repro's root
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -671,9 +650,13 @@ class DDIScreeningService:
                        node_lists: list[np.ndarray]) -> np.ndarray:
         """Embed drugs (one token-id array each) against a frozen context.
 
-        Runs in eval mode and returns the rows at the serving dtype;
-        each drug's hyperedge reduces independently, so a batch embeds
-        bitwise like one drug at a time.
+        Runs in eval mode and returns the rows at the serving dtype.
+        Each drug's hyperedge reduces independently, but the encoder
+        projects the whole batch in one BLAS GEMM, whose per-row bits
+        depend on the row count: a batch embeds like one drug at a time
+        up to last-ulp differences (see
+        :meth:`~repro.core.encoder.HyGNNEncoder.encode_edges_subset`, and
+        ROADMAP's cold-start item for making it batch-invariant).
         """
         node_ids = (np.concatenate(node_lists) if node_lists
                     else np.zeros(0, dtype=np.int64))
@@ -724,13 +707,15 @@ class DDIScreeningService:
     def register_drugs(self, smiles_list: list[str],
                        drug_ids: list[str] | None = None,
                        allow_unknown: bool = False) -> list[int]:
-        """Batch registration; identical embeddings to one-at-a-time calls.
+        """Batch registration: one encode for every new drug.
 
-        With an exact shard store attached, the new rows are *appended
-        through* to it as a crash-safe segment (a new committed catalog
-        version) instead of detaching it — the memory-mapped and
-        shard-worker tiers keep serving across registrations.  A quantized
-        store cannot absorb exact rows and is detached as before.
+        The rows equal one-at-a-time registrations up to last-ulp
+        differences from the encoder's batched GEMM (see
+        :meth:`_encode_subset`).  With a shard store attached, the new
+        rows are *appended through* to it as a crash-safe segment (a new
+        committed catalog version) instead of detaching it — the
+        memory-mapped and shard-worker tiers keep serving across
+        registrations.
         """
         start = time.perf_counter()
         if drug_ids is None:
@@ -832,12 +817,6 @@ class DDIScreeningService:
         store = self._store
         if store is None:
             return
-        if store.is_quantized:
-            # int8 segments would need requantization against the store's
-            # global per-column scales; quantized stores stay frozen
-            # snapshots (documented limitation) — fall back in-memory.
-            self._detach_store()
-            return
         try:
             proj_rows = dict(projections)
             if ("sketch" in store.projection_names
@@ -845,14 +824,8 @@ class DDIScreeningService:
                 # The store was saved approx-ready but the in-memory
                 # sketch precompute was released at open_shards; sketch
                 # the new rows with the store's own factors.
-                factors = (self._cache.sketch_factors
-                           or store.sketch_factors())
-                if factors is None:
-                    raise ValueError("store declares a sketch projection "
-                                     "but carries no factors")
-                self._cache.sketch_factors = factors
                 proj_rows["sketch"] = self._model.decoder.sketch_candidates(
-                    proj_rows, factors)
+                    proj_rows, self._sketch_factors())
             store.append(rows, proj_rows,
                          catalog_digest=self._catalog_digest())
         except Exception:
@@ -1009,19 +982,17 @@ class DDIScreeningService:
     # (The pre-engine ``_rank`` — a full stable argsort over dense catalog
     # probabilities — is gone: ranking now happens inside the streaming
     # top-k selection, which reproduces its ordering, ties included.)
-    def _catalog(self, approx: bool = False) -> ShardedEmbeddingCatalog:
+    def _catalog(self) -> ShardedEmbeddingCatalog:
         """The screening catalog for the current cache contents (memoized).
 
         With a shard store attached (and still describing the cache), this
-        is the memory-mapped catalog; otherwise the in-memory one.  A
-        *quantized* store only qualifies for approximate screens — its
-        int8 pages cannot serve the exact tier, so exact mode falls back
-        to the in-memory engine while the store stays attached.  Keys
-        embed the cache's globally unique version, so a rebuilt or
-        appended cache can never be served a stale engine.
+        is the memory-mapped catalog; otherwise the in-memory one.  Exact
+        and approximate screens read the same catalog.  Keys embed the
+        cache's globally unique version, so a rebuilt or appended cache
+        can never be served a stale engine.
         """
         self._sync_store()
-        if self._store is not None and (approx or not self._store.is_quantized):
+        if self._store is not None:
             # The store version rides the key, so an append/compaction/
             # rollback commit retires the memoized engine and the next
             # screen admits the new catalog version (in-flight screens
@@ -1097,12 +1068,10 @@ class DDIScreeningService:
                     f"prefilter; {type(decoder).__name__} has none")
             if approx_oversample < 1:
                 raise ValueError("approx_oversample must be >= 1")
-            catalog, prefilter, rerank_rows = self._approx_setup(
-                kernel, query_proj)
             results, rescored = self._approx_screen(
-                catalog, kernel, query_proj,
+                kernel, query_proj,
                 ShardPlan.build(num_queries, top_k, exclude),
-                approx_oversample, two_sided, prefilter, rerank_rows)
+                approx_oversample, two_sided)
             # The shortlist scan is one cheap comparison per candidate,
             # not an exact pair score; only the rescores are exact.
             stats.prefilter_pairs += num_queries * self.num_drugs
@@ -1127,99 +1096,53 @@ class DDIScreeningService:
                  for j, p in zip(indices, probs)]
                 for indices, probs in results]
 
-    def _approx_setup(self, kernel, query_proj):
-        """Wire the approximate tier for the current engine state.
+    def _sketch_factors(self) -> dict[str, np.ndarray]:
+        """The MLP prefilter's sketch factors for the served catalog.
 
-        Returns ``(catalog, prefilter, rerank_rows)``: the catalog whose
-        blocks the shortlist pass streams, the cheap scoring function for
-        those blocks, and the gather that fetches *exact* candidate rows
-        for the rerank.  Three configurations:
-
-        * in-memory — sketch factors are (re)built on the cache as needed,
-          both passes run over the in-memory arrays;
-        * exact shard store — blocks (sketch rows included) stream from
-          the mmap; the rerank gathers the same mapped rows;
-        * quantized shard store — the prefilter dequantizes the int8 pages
-          of its operand on the fly; the rerank reads the exact rows kept
-          in memory, so shortlist probabilities carry no quantization
-          error.
-
-        For a sketch decoder (MLP) this also stashes the per-batch query
-        operand under ``query_proj["sketch"]``.
+        Built on the cache when serving from memory; read once from an
+        attached store, whose sketch rows were made with them.
         """
-        decoder = self._model.decoder
-        needs_sketch = getattr(decoder, "needs_sketch", False)
-        store = self._store
-        if store is None:
-            if needs_sketch:
-                self._cache.ensure_sketch(decoder)
-                query_proj["sketch"] = kernel.sketch_queries(
-                    query_proj, self._cache.sketch_factors)
-            catalog = self._catalog()
-
-            def prefilter(_emb_block, proj_block):
-                return kernel.prefilter_block(query_proj, proj_block)
-
-            return catalog, prefilter, catalog.rows
-
-        if needs_sketch:
-            factors = self._cache.sketch_factors
-            if factors is None and "sketch" in store.projection_names:
-                factors = store.sketch_factors()
-            if factors is None:
+        if self._store is None:
+            return self._cache.ensure_sketch(self._model.decoder)
+        if self._cache.sketch_factors is None:
+            factors = ("sketch" in self._store.projection_names
+                       and self._store.sketch_factors())
+            if not factors:
                 raise ValueError(
                     "attached shard store carries no prefilter sketch for "
-                    f"{type(decoder).__name__}; re-save it with "
+                    f"{type(self._model.decoder).__name__}; re-save it with "
                     "save_shards() to serve approximate mode")
-            # Stash on the cache so later batches (and registrations)
-            # skip the manifest round-trip.
             self._cache.sketch_factors = factors
-            query_proj["sketch"] = kernel.sketch_queries(query_proj, factors)
-        catalog = self._catalog(approx=True)
-        if not store.is_quantized:
-            def prefilter(_emb_block, proj_block):
-                return kernel.prefilter_block(query_proj, proj_block)
+        return self._cache.sketch_factors
 
-            return catalog, prefilter, catalog.rows
-
-        # Quantized store: only the prefilter operand's int8 pages are
-        # touched; one dequantize per block keeps the stream O(block).
-        operand = "sketch" if needs_sketch else "emb"
-        scales = store.scales(operand)
-
-        def prefilter(_emb_block, proj_block):
-            page = dequantize_int8(proj_block[operand], scales,
-                                   dtype=self._dtype)
-            return kernel.prefilter_block(query_proj, {operand: page})
-
-        # Attaching a quantized store made the exact projections resident,
-        # and the store detaches before the cache content can change.
-        cached_proj = self._cache.projections
-        embeddings = self._cache.embeddings
-
-        def rerank_rows(indices):
-            idx = np.asarray(indices, dtype=np.int64)
-            return embeddings[idx], {name: rows[idx]
-                                     for name, rows in cached_proj.items()}
-
-        return catalog, prefilter, rerank_rows
-
-    def _approx_screen(self, catalog, kernel, query_proj, plan: ShardPlan,
-                       oversample, two_sided, prefilter, rerank_rows):
+    def _approx_screen(self, kernel, query_proj, plan: ShardPlan,
+                       oversample, two_sided):
         """Cheap-operand prefilter, then one exact rerank of every shortlist.
 
-        The shortlist pass streams ``prefilter`` scores (dot: one
-        inner-product GEMM per block; MLP: the low-rank sketch GEMM, a
-        forward-orientation surrogate even for symmetric screens) through
-        the same top-k engine as exact mode, keeping ``top_k * oversample``
-        survivors per query.  The rerank gathers every shortlist's rows
-        with one fancy-index call — shorter shortlists padded with row 0
-        to the longest — and scores them as one ``(Q, K)`` batch with the
-        kernel's ``score_rows`` (two-sided when the screen is), which is
-        bitwise what exact mode reports for the same pairs; the padding is
-        dropped before selection.  Returns ``(results, rescored)`` where
-        ``rescored`` counts the shortlist rows the exact kernel scored.
+        One path for every placement: the shortlist pass streams
+        prefilter scores over :meth:`_catalog` — in memory or memory
+        mapped (dot: one inner-product GEMM per block; MLP: the low-rank
+        sketch GEMM, a forward-orientation surrogate even for symmetric
+        screens) — through the same top-k engine as exact mode, keeping
+        ``top_k * oversample`` survivors per query.  The rerank gathers
+        every shortlist's rows from that catalog with one ``rows`` call —
+        shorter shortlists padded with row 0 to the longest — and scores
+        them as one ``(Q, K)`` batch with the kernel's ``score_rows``
+        (two-sided when the screen is), which is bitwise what exact mode
+        reports for the same pairs; the padding is dropped before
+        selection.  Returns ``(results, rescored)`` where ``rescored``
+        counts the shortlist rows the exact kernel scored.
         """
+        if getattr(self._model.decoder, "needs_sketch", False):
+            # Factors first: building them in memory adds the sketch rows
+            # to the cached projections the catalog is made from.
+            query_proj["sketch"] = kernel.sketch_queries(
+                query_proj, self._sketch_factors())
+        catalog = self._catalog()
+
+        def prefilter(_emb_block, proj_block):
+            return kernel.prefilter_block(query_proj, proj_block)
+
         shortlist = catalog.screen(
             prefilter, plan.num_queries,
             [max(k * oversample, k) for k in plan.top_ks],
@@ -1231,7 +1154,7 @@ class DDIScreeningService:
             gather[qi, :len(indices)] = indices
         probs = np.zeros(gather.shape)
         if gather.size:
-            _emb_rows, proj_rows = rerank_rows(gather.reshape(-1))
+            _emb_rows, proj_rows = catalog.rows(gather.reshape(-1))
             rows = {name: value.reshape(gather.shape + value.shape[1:])
                     for name, value in proj_rows.items()}
             probs = stable_sigmoid(kernel.score_rows(query_proj, rows))
@@ -1353,10 +1276,11 @@ class DDIScreeningService:
 
         All transient queries are tokenized and embedded in a single
         :meth:`~repro.core.encoder.HyGNNEncoder.encode_edges_subset` call
-        (identical embeddings to one-at-a-time encoding — each hyperedge's
-        segments reduce independently) and screened as one engine batch.
-        ``top_k`` may be per-query; per-query results are bitwise-identical
-        to serial :meth:`screen_smiles` calls.
+        and screened as one engine batch; ``top_k`` may be per-query.  The
+        batched encode matches one-at-a-time encoding only up to last-ulp
+        differences (see :meth:`_encode_subset`), so a query's
+        probabilities may differ from a serial :meth:`screen_smiles` call
+        in the last bits.
         """
         if not len(smiles_list):
             return []

@@ -17,9 +17,12 @@ the precomputed candidate-side decoder projections of each shard — as raw
 The manifest records the contiguous row range of every shard, the weight
 fingerprint and catalog digest the arrays were computed under (so a loader
 can *prove* the store still matches the model and drug list it is about to
-serve), and the projection names — including which of them alias the
+serve), the projection names — including which of them alias the
 embedding matrix itself (the dot decoder's identity precompute), which are
-never written twice.
+never written twice — and a CRC32 for every file it references; a
+manifest without one is refused.  The shard files hold the exact serving
+rows, so one store serves exact screens, approximate screens (the MLP
+sketch rows and factors are stored too), appends and cold boots.
 
 The store is a **versioned, crash-consistent, append-only catalog**:
 
@@ -73,7 +76,6 @@ from typing import Sequence
 import numpy as np
 
 from .faults import CrashPolicy
-from .precision import QUANTIZATION_SCHEMES, quantize_int8
 from .shards import CatalogShard, ShardedEmbeddingCatalog
 
 MANIFEST_NAME = "manifest.json"
@@ -153,47 +155,6 @@ def _manifest_files(manifest: dict) -> set[str]:
     return names
 
 
-def _validate_quantization(spec, embed_dim: int, projections: list[str],
-                           aliases: list[str]) -> dict | None:
-    """Coerce/validate the optional ``quantization`` manifest field.
-
-    Returns ``None`` (not quantized) or ``{"scheme", "scales"}`` with the
-    scale lists converted to float64 arrays.  Any structural problem —
-    unknown scheme, missing/mis-typed scales, wrong widths — raises
-    ``ValueError``, which best-effort openers treat as "no usable store".
-    """
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        raise ValueError("quantization must be a mapping")
-    scheme = spec.get("scheme")
-    if scheme not in QUANTIZATION_SCHEMES:
-        raise ValueError(f"unknown quantization scheme {scheme!r}; "
-                         f"expected one of {QUANTIZATION_SCHEMES}")
-    scales = spec.get("scales")
-    if not isinstance(scales, dict) or "embeddings" not in scales \
-            or not isinstance(scales.get("projections"), dict):
-        raise ValueError("quantization.scales must map 'embeddings' and "
-                         "'projections' to per-column scale lists")
-    out = {"embeddings": np.asarray(scales["embeddings"],
-                                    dtype=np.float64).reshape(-1)}
-    if len(out["embeddings"]) != embed_dim:
-        raise ValueError(
-            f"quantization has {len(out['embeddings'])} embedding scales "
-            f"for embed_dim {embed_dim}")
-    proj_scales = {}
-    for name in projections:
-        if name in scales["projections"]:
-            proj_scales[name] = np.asarray(scales["projections"][name],
-                                           dtype=np.float64).reshape(-1)
-    missing = set(projections) - set(proj_scales) - set(aliases)
-    if missing:
-        raise ValueError(f"quantization is missing scales for projections "
-                         f"{sorted(missing)}")
-    return {"scheme": scheme, "scales": {"embeddings": out["embeddings"],
-                                         "projections": proj_scales}}
-
-
 class ShardStore:
     """Disk layout + lazy memory-mapped access for one persisted catalog.
 
@@ -209,14 +170,12 @@ class ShardStore:
     recorded in :attr:`recovered`.
     """
 
-    def __init__(self, path: str | Path, verify_checksums: bool = True,
-                 recover: bool = False):
+    def __init__(self, path: str | Path, recover: bool = False):
         path = Path(path)
         if path.is_dir():
             path = path / MANIFEST_NAME
         self.path = path
         self.root = path.parent
-        self.verify_checksums = verify_checksums
         # Crash-injection hook for the chaos tests: when set, every
         # journal/segment/manifest write inside a mutation passes through
         # CrashPolicy.check, which may raise CrashPoint to simulate the
@@ -247,8 +206,15 @@ class ShardStore:
             raise ValueError(
                 f"{self.path} is not a shard-store manifest "
                 f"(format={manifest.get('format')!r})")
+        if manifest.get("quantization") is not None:
+            # Earlier releases could write int8 codes under a manifest
+            # that still says float64; scored as rows they would be
+            # silently wrong.
+            raise ValueError(
+                f"{self.path} is an int8 quantized store, which is no "
+                f"longer supported; re-save the catalog with save_shards()")
         missing = {"num_drugs", "embed_dim", "block_size", "projections",
-                   "aliases", "shards"} - manifest.keys()
+                   "aliases", "shards", "checksums"} - manifest.keys()
         if missing:
             raise ValueError(f"{self.path} is missing manifest keys "
                              f"{sorted(missing)}")
@@ -263,25 +229,21 @@ class ShardStore:
             version = int(manifest.get("version", 0))
             if not isinstance(manifest["shards"], list):
                 raise TypeError
-            quantization = _validate_quantization(
-                manifest.get("quantization"), embed_dim,
-                list(manifest["projections"]), list(manifest["aliases"]))
-            checksums = manifest.get("checksums")
-            if checksums is not None and not isinstance(checksums, dict):
-                raise TypeError
-            checksums = ({str(name): int(crc)
-                          for name, crc in checksums.items()}
-                         if checksums else None)
-        except (TypeError, ValueError, KeyError) as error:
+            checksums = {str(name): int(crc)
+                         for name, crc in manifest["checksums"].items()}
+            unchecked = _manifest_files(manifest) - checksums.keys()
+        except (AttributeError, TypeError, ValueError, KeyError) as error:
             raise ValueError(
                 f"{self.path} has malformed manifest fields") from error
+        if unchecked:
+            raise ValueError(f"{self.path} records no CRC32 checksum for "
+                             f"{sorted(unchecked)}; re-save the store")
         self.manifest = manifest
         self._num_drugs = num_drugs
         self._embed_dim = embed_dim
         self._block_size = block_size
         self.version = version
         self.fingerprint = manifest.get("fingerprint")
-        self._quantization = quantization
         self._checksums = checksums
         self.catalog_digest = manifest.get("catalog_digest")
         # Shard indices whose files failed CRC verification — detected
@@ -319,47 +281,17 @@ class ShardStore:
     def projection_names(self) -> list[str]:
         return list(self.manifest["projections"])
 
-    @property
-    def quantization(self) -> str | None:
-        """The quantization scheme the shard files use (None = exact)."""
-        return self._quantization["scheme"] if self._quantization else None
-
-    @property
-    def is_quantized(self) -> bool:
-        return self._quantization is not None
-
-    def scales(self, name: str | None = None) -> np.ndarray:
-        """Per-column dequantization scales for ``name`` (None = embeddings).
-
-        Alias projections (rows that *are* the embedding matrix) resolve
-        to the embedding scales.
-        """
-        if self._quantization is None:
-            raise ValueError("store is not quantized")
-        scales = self._quantization["scales"]
-        if name is None or name in self.manifest["aliases"]:
-            return scales["embeddings"]
-        return scales["projections"][name]
-
-    @property
-    def has_checksums(self) -> bool:
-        """Whether the manifest carries per-file CRC32 checksums."""
-        return self._checksums is not None
-
     def _verify_file(self, name: str, shard: int | None = None) -> None:
         """CRC-check one store file (memoized); quarantine on mismatch.
 
-        A manifest without checksums (pre-integrity stores) skips
-        verification silently — there is nothing to check against.  The
-        memo lives only until the next mutation: any append/compaction/
-        rollback/reload clears it, so re-verify re-reads the bytes.
+        Every file the manifest references has a checksum (:meth:`_install`
+        refuses one that does not).  The memo lives only until the next
+        mutation: any append/compaction/rollback/reload clears it, so
+        re-verify re-reads the bytes.
         """
-        if (not self.verify_checksums or self._checksums is None
-                or name in self._verified):
+        if name in self._verified:
             return
-        expected = self._checksums.get(name)
-        if expected is None:
-            return
+        expected = self._checksums[name]
         actual = _crc32_file(self.root / name)
         if actual != expected:
             if shard is not None:
@@ -380,7 +312,7 @@ class ShardStore:
 
         Bad shards are quarantined.  ``strict=True`` raises
         :class:`ShardIntegrityError` on the first mismatch instead of
-        collecting.  A manifest without checksums verifies vacuously.
+        collecting.
         """
         bad: list[int] = []
         for index in range(self.num_shards):
@@ -398,13 +330,12 @@ class ShardStore:
         spec = self.manifest.get("sketch_factors")
         if not spec:
             return None
+        if not {"mean", "std", "components"} <= spec.keys():
+            raise ValueError(f"{self.path} has incomplete sketch factors "
+                             f"{sorted(spec)}; re-save the store")
         for name in spec.values():
             self._verify_file(name)
-        factors = {"mean": np.load(self.root / spec["mean"]),
-                   "components": np.load(self.root / spec["components"])}
-        if spec.get("std"):
-            factors["std"] = np.load(self.root / spec["std"])
-        return factors
+        return {key: np.load(self.root / name) for key, name in spec.items()}
 
     def nbytes(self) -> int:
         """Total bytes of the shard files (embeddings + projections)."""
@@ -517,12 +448,6 @@ class ShardStore:
         """A mutation-safe deep copy of the current manifest."""
         return json.loads(json.dumps(self.manifest))
 
-    def _require_exact(self, what: str) -> None:
-        if self.is_quantized:
-            raise ValueError(
-                f"an int8-quantized store is a frozen snapshot; {what} "
-                f"requires an exact store (re-save with quantize=None)")
-
     def append(self, embeddings: np.ndarray,
                projections: dict[str, np.ndarray] | None = None,
                catalog_digest: str | None = None) -> int:
@@ -537,7 +462,6 @@ class ShardStore:
         decoder's identity precompute) are accepted and ignored.
         """
         with self._mutate_lock:
-            self._require_exact("append")
             embeddings = np.asarray(embeddings)
             if embeddings.ndim != 2 or not len(embeddings):
                 raise ValueError("appended embeddings must be a non-empty "
@@ -607,7 +531,6 @@ class ShardStore:
         serving from their existing memory maps.
         """
         with self._mutate_lock:
-            self._require_exact("compact")
             if num_shards is None:
                 largest = max(int(spec["stop"]) - int(spec["start"])
                               for spec in self.manifest["shards"])
@@ -869,7 +792,6 @@ class ShardStore:
              num_shards: int = 1, block_size: int = 1024,
              fingerprint: str | None = None,
              catalog_digest: str | None = None,
-             quantize: str | None = None,
              sketch_factors: dict[str, np.ndarray] | None = None) -> Path:
         """Write a shard store under directory ``path``; returns the manifest.
 
@@ -883,18 +805,12 @@ class ShardStore:
         retained alongside ``manifest.json`` so later :meth:`rollback`
         calls can restore the initial catalog.
 
-        ``quantize="int8"`` stores every matrix as symmetric per-column-
-        scaled int8 codes (scales ride the manifest), shrinking the store
-        ~8x; a quantized store serves the *approximate* screening tier
-        only — the prefilter streams int8 pages, the shortlist reranks
-        against exact in-memory rows.  ``sketch_factors`` (the MLP
-        prefilter's ``{"mean", "components"}``) are written alongside so a
-        cold open can sketch queries without the original cache.
+        Every file lands with its CRC32 in the manifest.
+        ``sketch_factors`` (the MLP prefilter's ``{"mean", "std",
+        "components"}``) are written alongside the ``"sketch"`` projection
+        rows, so the store serves approximate screens on a cold open
+        without the original cache.
         """
-        if quantize is not None and quantize not in QUANTIZATION_SCHEMES:
-            raise ValueError(f"quantize must be one of "
-                             f"{QUANTIZATION_SCHEMES} or None, "
-                             f"got {quantize!r}")
         embeddings = np.asarray(embeddings)
         if embeddings.ndim != 2 or not len(embeddings):
             raise ValueError("embeddings must be a non-empty "
@@ -917,20 +833,6 @@ class ShardStore:
 
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
-        quantization = None
-        stored_emb, stored_proj = embeddings, projections
-        if quantize == "int8":
-            stored_emb, emb_scales = quantize_int8(embeddings)
-            stored_proj, proj_scales = {}, {}
-            for name, matrix in projections.items():
-                if name in aliases:
-                    stored_proj[name] = stored_emb
-                    continue
-                stored_proj[name], scales = quantize_int8(matrix)
-                proj_scales[name] = scales.tolist()
-            quantization = {"scheme": "int8",
-                            "scales": {"embeddings": emb_scales.tolist(),
-                                       "projections": proj_scales}}
         chunks = [c for c in np.array_split(
             np.arange(len(embeddings), dtype=np.int64), num_shards)
             if len(c)]
@@ -944,24 +846,22 @@ class ShardStore:
             lo, hi = int(chunk[0]), int(chunk[-1]) + 1
             emb_file = f"shard_{i:05d}.emb.npy"
             checksums[emb_file] = _atomic_save(root, emb_file,
-                                               stored_emb[lo:hi])
+                                               embeddings[lo:hi])
             proj_files = {}
             for name in projections:
                 if name in aliases:
                     continue
                 proj_file = f"shard_{i:05d}.proj.{name}.npy"
                 checksums[proj_file] = _atomic_save(
-                    root, proj_file, stored_proj[name][lo:hi])
+                    root, proj_file, projections[name][lo:hi])
                 proj_files[name] = proj_file
             shard_specs.append({"start": lo, "stop": hi,
                                 "embeddings": emb_file,
                                 "projections": proj_files})
         sketch_spec = None
         if sketch_factors is not None:
-            sketch_spec = {"mean": "sketch.mean.npy",
-                           "components": "sketch.components.npy"}
-            if sketch_factors.get("std") is not None:
-                sketch_spec["std"] = "sketch.std.npy"
+            sketch_spec = {key: f"sketch.{key}.npy"
+                           for key in ("mean", "std", "components")}
             for key, file_name in sketch_spec.items():
                 checksums[file_name] = _atomic_save(root, file_name,
                                                     sketch_factors[key])
@@ -977,7 +877,6 @@ class ShardStore:
             "projections": sorted(projections),
             "aliases": aliases,
             "shards": shard_specs,
-            "quantization": quantization,
             "sketch_factors": sketch_spec,
             "checksums": checksums,
         }

@@ -21,11 +21,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="0 picks an ephemeral port (printed)")
-    parser.add_argument("--no-verify", action="store_true",
-                        help="skip CRC verification of shard files on open")
     args = parser.parse_args(argv)
-    worker = ShardWorker(args.manifest, host=args.host, port=args.port,
-                         verify_checksums=not args.no_verify)
+    worker = ShardWorker(args.manifest, host=args.host, port=args.port)
     host, port = worker.address
     print(f"shard worker serving {args.manifest} on {host}:{port} "
           f"({worker.store.num_shards} shards, "

@@ -1,28 +1,22 @@
-"""Precision-tier tests: dtype stability of the serving kernels, int8
-quantization invariants, the MLP sketch prefilter, and manifest hygiene.
+"""Precision-tier tests: dtype stability of the serving kernels, the MLP
+sketch prefilter, and artifact isolation between tiers.
 
-The contracts pinned here back the three speed/accuracy dials of the
-screening service (``precision="float32"``, ``approx=True``,
-``quantize="int8"``): float32 inputs must flow through scoring and top-k
-selection without silently widening, int8 round-trips must stay inside
-half a column scale, the sketch shortlist must keep the exact top-k, and
-low-precision artifacts must never validate against exact-tier services.
+The contracts pinned here back the two speed/accuracy dials of the
+screening service (``precision="float32"``, ``approx=True``): float32
+inputs must flow through scoring and top-k selection without silently
+widening, the sketch shortlist must keep the exact top-k, and float32
+artifacts must never validate against float64 services.
 """
-
-import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig
 from repro.nn import functional as F
-from repro.serving import (DDIScreeningService, ShardStore, TopKAccumulator,
-                           dequantize_int8, merge_top_k, quantize_int8,
-                           rank_agreement, recall_at_k, resolve_precision,
-                           top_k_desc)
+from repro.serving import (CatalogShard, DDIScreeningService, merge_top_k,
+                           rank_agreement, recall_at_k, resolve_precision)
+from repro.serving.shards import screen_shard
 
 DTYPES = [np.float32, np.float64]
 
@@ -45,6 +39,17 @@ def _service(setup, **kwargs):
     return DDIScreeningService(model, builder, corpus, **kwargs)
 
 
+def _screen_scores(scores, k, block_size):
+    """``screen_shard`` over a 1-D score row as one contiguous shard."""
+    n = len(scores)
+    shard = CatalogShard(indices=np.arange(n, dtype=np.int64),
+                         embeddings=np.zeros((n, 0)),
+                         projections={"col": np.arange(n)})
+    return screen_shard(shard, block_size,
+                        lambda _emb, proj: scores[None, proj["col"]],
+                        1, [k])[0]
+
+
 # ---------------------------------------------------------------------------
 # dtype stability of the scoring / selection primitives
 # ---------------------------------------------------------------------------
@@ -57,13 +62,10 @@ class TestDtypeStability:
         assert np.all((probs >= 0) & (probs <= 1))
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_topk_accumulator_preserves_dtype(self, dtype):
+    def test_screen_shard_preserves_dtype(self, dtype):
         rng = np.random.default_rng(0)
-        acc = TopKAccumulator(5)
-        for start in range(0, 40, 8):
-            block = rng.random(8).astype(dtype)
-            acc.update(block, np.arange(start, start + 8, dtype=np.int64))
-        indices, scores = acc.result()
+        indices, scores = _screen_scores(rng.random(40).astype(dtype), 5,
+                                         block_size=8)
         assert scores.dtype == dtype
         assert len(indices) == 5
 
@@ -75,14 +77,11 @@ class TestDtypeStability:
         assert scores.dtype == dtype
 
     def test_top_k_accepts_integer_scores(self):
-        # Integer blocks (quantized paths, tests) promote to float64.
-        acc = TopKAccumulator(2)
-        acc.update(np.array([3, 1, 2], dtype=np.int32),
-                   np.arange(3, dtype=np.int64))
-        _, scores = acc.result()
+        # Integer score blocks promote to float64.
+        indices, scores = _screen_scores(
+            np.array([3, 1, 2], dtype=np.int32), 2, block_size=3)
         assert scores.dtype == np.float64
-        np.testing.assert_array_equal(top_k_desc(np.array([3, 1, 2]), 2),
-                                      [0, 2])
+        np.testing.assert_array_equal(indices, [0, 2])
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_score_block_preserves_dtype(self, setup, dtype):
@@ -136,47 +135,6 @@ class TestResolvePrecision:
 
 
 # ---------------------------------------------------------------------------
-# int8 quantization invariants
-# ---------------------------------------------------------------------------
-finite_matrices = st.tuples(
-    st.integers(1, 12), st.integers(1, 6), st.integers(0, 2 ** 31 - 1),
-    st.floats(1e-6, 1e6),
-).map(lambda spec: np.random.default_rng(spec[2]).uniform(
-    -spec[3], spec[3], size=(spec[0], spec[1])))
-
-
-class TestInt8Quantization:
-    @settings(max_examples=60, deadline=None)
-    @given(matrix=finite_matrices)
-    def test_round_trip_error_within_half_scale(self, matrix):
-        codes, scales = quantize_int8(matrix)
-        assert codes.dtype == np.int8
-        assert scales.shape == (matrix.shape[1],)
-        restored = dequantize_int8(codes, scales, dtype=np.float64)
-        error = np.abs(restored - matrix)
-        # Nearest-code rounding: every entry reconstructs within half its
-        # column's scale (tiny slack for the float64 divide/multiply).
-        bound = scales / 2 + 1e-9 * np.maximum(np.abs(matrix), 1.0)
-        assert np.all(error <= bound)
-
-    def test_zero_columns_get_unit_scale(self):
-        matrix = np.zeros((5, 3))
-        matrix[:, 1] = np.linspace(-2, 2, 5)
-        codes, scales = quantize_int8(matrix)
-        assert scales[0] == 1.0 and scales[2] == 1.0
-        assert np.all(codes[:, [0, 2]] == 0)
-        assert codes[:, 1].max() == 127 and codes[:, 1].min() == -127
-
-    def test_dequantize_default_dtype_is_float32(self):
-        codes, scales = quantize_int8(np.ones((2, 2)))
-        assert dequantize_int8(codes, scales).dtype == np.float32
-
-    def test_non_matrix_rejected(self):
-        with pytest.raises(ValueError, match="2-D"):
-            quantize_int8(np.arange(5.0))
-
-
-# ---------------------------------------------------------------------------
 # the MLP sketch prefilter
 # ---------------------------------------------------------------------------
 class TestSketchPrefilter:
@@ -209,7 +167,7 @@ class TestSketchPrefilter:
 
 
 # ---------------------------------------------------------------------------
-# precision / quantization in artifact validation
+# precision in artifact validation
 # ---------------------------------------------------------------------------
 class TestArtifactIsolation:
     def test_float32_store_never_attaches_to_float64_service(
@@ -226,99 +184,6 @@ class TestArtifactIsolation:
         assert not low.open_shards(exact_manifest)
         with pytest.raises(ValueError, match="fingerprint"):
             low.open_shards(exact_manifest, strict=True)
-
-    def test_quantized_store_serves_approx_and_falls_back_exact(
-            self, setup, tmp_path):
-        service = _service(setup, block_size=7, num_shards=3)
-        reference = service.screen(2, top_k=6)
-        manifest = service.save_shards(tmp_path / "q8", quantize="int8")
-        store = ShardStore(manifest)
-        assert store.is_quantized and store.quantization == "int8"
-        assert service.open_shards(manifest, strict=True)
-        # Exact mode ignores the int8 pages and reproduces the in-memory
-        # screen bitwise.
-        fallback = service.screen(2, top_k=6)
-        assert [(h.index, h.probability) for h in fallback] == \
-            [(h.index, h.probability) for h in reference]
-        # Approximate mode prefilters on the store and exact-reranks.
-        approx = service.screen(2, top_k=6, approx=True,
-                                approx_oversample=service.num_drugs)
-        assert [(h.index, h.probability) for h in approx] == \
-            [(h.index, h.probability) for h in reference]
-
-    def test_quantized_store_is_much_smaller(self, setup, tmp_path):
-        service = _service(setup)
-        exact = ShardStore(service.save_shards(tmp_path / "exact"))
-        quantized = ShardStore(
-            service.save_shards(tmp_path / "q8", quantize="int8"))
-        assert quantized.nbytes() <= exact.nbytes() / 6
-
-
-# ---------------------------------------------------------------------------
-# malformed quantization manifests
-# ---------------------------------------------------------------------------
-def _corrupt(manifest_path, mutate):
-    manifest = json.loads(manifest_path.read_text())
-    mutate(manifest)
-    manifest_path.write_text(json.dumps(manifest))
-
-
-def _drop_scheme(manifest):
-    manifest["quantization"]["scheme"] = "int3"
-
-
-def _drop_embedding_scales(manifest):
-    del manifest["quantization"]["scales"]["embeddings"]
-
-
-def _wrong_scale_width(manifest):
-    manifest["quantization"]["scales"]["embeddings"] = [1.0, 2.0]
-
-
-def _drop_projection_scales(manifest):
-    manifest["quantization"]["scales"]["projections"] = {}
-
-
-def _non_mapping(manifest):
-    manifest["quantization"] = "int8"
-
-
-class TestMalformedQuantizationManifest:
-    MUTATIONS = [_drop_scheme, _drop_embedding_scales, _wrong_scale_width,
-                 _non_mapping]
-
-    @pytest.mark.parametrize("mutate", MUTATIONS,
-                             ids=lambda m: m.__name__.lstrip("_"))
-    def test_open_is_best_effort_unless_strict(self, setup, tmp_path, mutate):
-        service = _service(setup)
-        manifest = service.save_shards(tmp_path / "q8", quantize="int8")
-        _corrupt(manifest, mutate)
-        with pytest.raises(ValueError, match="malformed manifest"):
-            ShardStore(manifest)
-        fresh = _service(setup)
-        assert not fresh.open_shards(manifest)  # tolerated: no attach
-        with pytest.raises(ValueError, match="malformed manifest"):
-            fresh.open_shards(manifest, strict=True)
-
-    def test_missing_projection_scales_rejected(self, setup, tmp_path):
-        _, config, *_ = setup
-        if config.decoder != "mlp":
-            pytest.skip("the dot store's only projection aliases the "
-                        "embeddings, which need no separate scales")
-        service = _service(setup)
-        manifest = service.save_shards(tmp_path / "q8", quantize="int8")
-        _corrupt(manifest, _drop_projection_scales)
-        with pytest.raises(ValueError, match="malformed manifest"):
-            ShardStore(manifest)
-        assert not _service(setup).open_shards(manifest)
-
-    def test_unquantized_store_has_no_scales(self, setup, tmp_path):
-        service = _service(setup)
-        store = ShardStore(service.save_shards(tmp_path / "exact"))
-        assert not store.is_quantized
-        assert store.quantization is None
-        with pytest.raises(ValueError, match="not quantized"):
-            store.scales()
 
 
 # ---------------------------------------------------------------------------

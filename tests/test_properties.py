@@ -364,26 +364,27 @@ topk_cases = st.tuples(
 @given(topk_cases)
 def test_streaming_sharded_topk_matches_stable_argsort(case):
     """Blocked + sharded selection equals the full stable argsort prefix,
-    for any block size and any shard layout — the serving engine's
-    exact-mode determinism contract."""
-    from repro.serving import TopKAccumulator, merge_top_k, top_k_desc
+    for any block size and any split into contiguous shards — the serving
+    engine's exact-mode determinism contract."""
+    from repro.serving import CatalogShard, merge_top_k
+    from repro.serving.shards import screen_shard
 
     raw, k, block, num_shards, seed = case
     scores = np.asarray(raw, dtype=np.float64) / 7.0
     n = scores.size
     expected = np.argsort(-scores, kind="stable")[:k]
 
-    np.testing.assert_array_equal(top_k_desc(scores, k), expected)
-
-    layout = np.array_split(np.random.default_rng(seed).permutation(n),
-                            num_shards)
+    # Random contiguous shard boundaries (shards are row ranges).
+    cuts = np.sort(np.random.default_rng(seed).choice(
+        np.arange(1, max(n, 1)), size=min(num_shards - 1, max(n - 1, 0)),
+        replace=False))
     shard_results = []
-    for part in layout:
-        acc = TopKAccumulator(k)
-        for start in range(0, part.size, block):
-            chunk = part[start:start + block]
-            acc.update(scores[chunk], chunk)
-        shard_results.append(acc.result())
+    for rows in np.split(np.arange(n, dtype=np.int64), cuts):
+        shard = CatalogShard(indices=rows, embeddings=np.zeros((rows.size, 0)),
+                             projections={"rows": rows})
+        shard_results += screen_shard(
+            shard, block, lambda _emb, proj: scores[None, proj["rows"]],
+            1, [k])
     merged_idx, merged_sc = merge_top_k(shard_results, k)
     np.testing.assert_array_equal(merged_idx, expected)
     np.testing.assert_array_equal(merged_sc, scores[expected])

@@ -680,12 +680,6 @@ class TestRemoteExecutor:
             service.connect_workers([("127.0.0.1", 1)])
         with pytest.raises(RuntimeError, match="attached shard store"):
             service.start_workers(2)
-        manifest = service.save_shards(tmp_path / "q", quantize="int8")
-        assert service.open_shards(manifest)
-        with pytest.raises(ValueError, match="quantized"):
-            service.connect_workers([("127.0.0.1", 1)])
-        with pytest.raises(ValueError, match="quantized"):
-            service.start_workers(2)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +696,6 @@ class TestStoreIntegrity:
     def test_manifest_records_checksums_and_no_temp_files(self, tmp_path):
         manifest = self._store(tmp_path)
         store = ShardStore(manifest)
-        assert store.has_checksums
         files = {p.name for p in manifest.parent.iterdir()}
         assert not any(name.endswith(".tmp") for name in files)
         manifests = {name for name in files
@@ -727,7 +720,6 @@ class TestStoreIntegrity:
     def test_verification_is_memoized_and_optional(self, tmp_path):
         manifest = self._store(tmp_path)
         victim = manifest.parent / "shard_00000.emb.npy"
-        unverified = ShardStore(manifest, verify_checksums=False)
         store = ShardStore(manifest)
         store.open_shard(0)
         # Corruption after a shard was verified+mapped is the OS's problem;
@@ -735,18 +727,20 @@ class TestStoreIntegrity:
         _corrupt_file_tail(victim)
         with pytest.raises(ShardIntegrityError):
             ShardStore(manifest).open_shard(0)
-        unverified.open_shard(0)                  # opted out: no check
 
-    def test_legacy_manifest_without_checksums_still_opens(self, tmp_path):
-        import json
+    def test_manifest_without_full_checksums_rejected(self, tmp_path):
+        """Every referenced file must carry a CRC32: a manifest with no
+        checksums, or one that leaves a shard file out, is refused."""
         manifest = self._store(tmp_path)
-        spec = json.loads(manifest.read_text())
-        del spec["checksums"]
-        manifest.write_text(json.dumps(spec))
-        store = ShardStore(manifest)
-        assert not store.has_checksums
-        assert store.verify() == []
-        store.open_shard(0)
+        saved = json.loads(manifest.read_text())
+        for drop in (lambda spec: spec.pop("checksums"),
+                     lambda spec: spec["checksums"].pop(
+                         "shard_00001.emb.npy")):
+            spec = json.loads(json.dumps(saved))
+            drop(spec)
+            manifest.write_text(json.dumps(spec))
+            with pytest.raises(ValueError, match="checksum"):
+                ShardStore(manifest)
 
     def test_worker_reports_quarantined_shard_as_error(self, tmp_path,
                                                        served):
@@ -814,10 +808,28 @@ class TestColdBoot:
             DDIScreeningService.from_store(root, context)
 
     def test_quantized_store_rejected(self, booted, tmp_path):
-        warm, _, _, context = booted
-        quantized = warm.save_shards(tmp_path / "int8", quantize="int8")
-        with pytest.raises(ValueError, match="quantized"):
-            DDIScreeningService.from_store(quantized, context)
+        """A manifest with the ``quantization`` field earlier releases
+        wrote for int8 stores is refused everywhere a store is opened."""
+        import shutil
+        _, _, manifest, context = booted
+        root = tmp_path / "int8"
+        shutil.copytree(manifest.parent, root)
+        spec = json.loads((root / "manifest.json").read_text())
+        aliases = set(spec["aliases"])
+        spec["quantization"] = {"scheme": "int8", "scales": {
+            "embeddings": [1.0] * spec["embed_dim"],
+            "projections": {name: [1.0] for name in spec["projections"]
+                            if name not in aliases}}}
+        (root / "manifest.json").write_text(json.dumps(spec))
+        with pytest.raises(ValueError, match="save_shards"):
+            ShardStore(root)
+        # A service the store's rows otherwise match still refuses it.
+        service = DDIScreeningService.from_store(manifest, context)
+        assert not service.open_shards(root)
+        with pytest.raises(ValueError, match="save_shards"):
+            service.open_shards(root, strict=True)
+        with pytest.raises(ValueError, match="save_shards"):
+            DDIScreeningService.from_store(root, context)
 
     def test_wrong_model_fingerprint_rejected(self, booted, tmp_path):
         warm, _, manifest, _ = booted
@@ -883,28 +895,68 @@ class TestColdBoot:
         with pytest.raises(error, match=match):
             DDIScreeningService.from_store(manifest, context)
 
-    def test_int8_store_stays_attached_after_boot(self, setup, tmp_path):
-        """An int8 store opened after a cold boot keeps serving approximate
-        screens, with the hits of an encoded service serving it."""
+    def test_approx_screens_equal_in_memory_mapped_and_booted(
+            self, setup, tmp_path):
+        """An approximate screen takes one path for every placement: in
+        memory, from the mapped store and after a cold boot it returns
+        the same bits, with the store attached and no corpus encode."""
         corpus, _, model, builder = setup
-        encoded = DDIScreeningService(model, builder, corpus, num_shards=2)
-        manifest = encoded.save_shards(tmp_path / "exact")
-        quantized = encoded.save_shards(tmp_path / "int8", quantize="int8")
-        context = encoded.save_serving_context(tmp_path / "context")
-        assert encoded.open_shards(quantized, strict=True)
-        cold = DDIScreeningService.from_store(manifest, context)
-        assert cold.open_shards(quantized, strict=True)
+        service = DDIScreeningService(model, builder, corpus, num_shards=2,
+                                      block_size=8)
         queries = [0, 7, 12]
-        answers = []
-        for service in (encoded, cold):
-            exact = _hits(service.screen_batch(queries, top_k=5))
-            approx = _hits(service.screen_batch(queries, top_k=5,
-                                                approx=True))
-            assert service.shard_store is not None
-            assert service.shard_store.is_quantized
-            answers.append((exact, approx))
-        assert answers[0] == answers[1]
+        expected = _hits(service.screen_batch(queries, top_k=5, approx=True))
+        manifest = service.save_shards(tmp_path / "store")
+        context = service.save_serving_context(tmp_path / "context")
+        assert service.open_shards(manifest, strict=True)
+        cold = DDIScreeningService.from_store(manifest, context)
+        for placement in (service, cold):
+            assert _hits(placement.screen_batch(queries, top_k=5,
+                                                approx=True)) == expected
+            assert placement.shard_store is not None
         assert cold.stats.corpus_encodes == 0
+
+    def test_attached_store_supplies_the_sketch_factors(self, setup,
+                                                        tmp_path):
+        """A service that built its own sketch factors and then attaches a
+        store prefilters with the store's factors — the ones its sketch
+        rows were made with — not its own."""
+        corpus, config, model, builder = setup
+        if config.decoder != "mlp":
+            pytest.skip("the dot decoder prefilters without a sketch")
+        ids = [f"new_{i}" for i in range(10)]
+        writer = DDIScreeningService(model, builder, corpus[:-10],
+                                     num_shards=2, block_size=8)
+        assert writer.open_shards(writer.save_shards(tmp_path / "store"),
+                                  strict=True)
+        writer.register_drugs(corpus[-10:], drug_ids=ids)
+        reader = DDIScreeningService(model, builder, corpus[:-10],
+                                     num_shards=2, block_size=8)
+        reader.register_drugs(corpus[-10:], drug_ids=ids)
+        reader.screen(0, top_k=3, approx=True)  # factors over all rows
+        assert reader.open_shards(tmp_path / "store", strict=True)
+        queries = list(range(reader.num_drugs))
+        screen = dict(top_k=3, approx=True, approx_oversample=1)
+        assert _hits(reader.screen_batch(queries, **screen)) == \
+            _hits(writer.screen_batch(queries, **screen))
+
+    def test_approx_after_append_through_matches_exact(self, setup,
+                                                       tmp_path):
+        """Rows appended through the store get sketch rows too: a full
+        shortlist reranks to the exact screen's bits."""
+        corpus, _, model, builder = setup
+        service = DDIScreeningService(model, builder, corpus[:-4],
+                                      num_shards=2, block_size=8)
+        assert service.open_shards(service.save_shards(tmp_path / "store"),
+                                   strict=True)
+        service.register_drugs(corpus[-4:],
+                               drug_ids=[f"new_{i}" for i in range(4)])
+        assert service.catalog_version == 1
+        queries = [0, 7, "new_3"]
+        assert _hits(service.screen_batch(
+            queries, top_k=5, approx=True,
+            approx_oversample=service.num_drugs)) == \
+            _hits(service.screen_batch(queries, top_k=5))
+        assert service.shard_store is not None
 
     def test_failed_context_save_keeps_previous_context(
             self, booted, tmp_path, monkeypatch):

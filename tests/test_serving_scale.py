@@ -13,8 +13,10 @@ import pytest
 from repro.chem import MoleculeGenerator
 from repro.core import HyGNN, HyGNNConfig
 from repro.core.decoder import make_decoder, make_screen_kernel
-from repro.serving import (DDIScreeningService, ShardedEmbeddingCatalog,
-                           TopKAccumulator, merge_top_k, top_k_desc)
+from repro.serving import (CatalogShard, DDIScreeningService,
+                           ShardedEmbeddingCatalog, merge_top_k)
+from repro.serving.shards import screen_shard
+from repro.serving.topk import batch_top_k_sets
 
 
 def _corpus(n=40, seed=11):
@@ -49,8 +51,25 @@ def _legacy_screen(service, model, query, top_k, symmetric=False):
 
 
 # ---------------------------------------------------------------------------
-# top-k selection primitives
+# top-k selection: the engine against the stable argsort it reproduces
 # ---------------------------------------------------------------------------
+def _screen_scores(scores, padded, block_size, start=0):
+    """``screen_shard`` over a ``(Q, n)`` score matrix as one contiguous
+    shard holding global rows ``start .. start + n``."""
+    scores = np.atleast_2d(scores)
+    n = scores.shape[1]
+    shard = CatalogShard(indices=np.arange(start, start + n, dtype=np.int64),
+                         embeddings=np.zeros((n, 0)),
+                         projections={"col": np.arange(n)})
+    return screen_shard(shard, block_size,
+                        lambda _emb, proj: scores[:, proj["col"]],
+                        len(scores), padded)
+
+
+def _stable_top_k(scores, k):
+    return np.argsort(-scores, kind="stable")[:max(k, 0)]
+
+
 class TestTopK:
     def test_matches_stable_argsort_with_ties(self):
         rng = np.random.default_rng(0)
@@ -59,62 +78,44 @@ class TestTopK:
             # Heavy quantization forces many exact ties.
             scores = np.round(rng.random(n), 1)
             k = int(rng.integers(0, n + 2))
-            expected = np.argsort(-scores, kind="stable")[:k]
-            np.testing.assert_array_equal(top_k_desc(scores, k), expected)
+            indices, _ = _screen_scores(scores, [k], block_size=n)[0]
+            np.testing.assert_array_equal(indices, _stable_top_k(scores, k))
 
     def test_empty_and_degenerate(self):
-        assert len(top_k_desc(np.zeros(0), 5)) == 0
-        assert len(top_k_desc(np.array([1.0, 2.0]), 0)) == 0
-        assert len(top_k_desc(np.array([1.0, 2.0]), -1)) == 0
-        np.testing.assert_array_equal(top_k_desc(np.array([1.0, 2.0]), 10),
-                                      [1, 0])
+        for scores, k in ((np.zeros(0), 5), (np.array([1.0, 2.0]), 0),
+                          (np.array([1.0, 2.0]), -1)):
+            indices, _ = _screen_scores(scores, [k], block_size=4)[0]
+            assert len(indices) == 0
+        indices, _ = _screen_scores(np.array([1.0, 2.0]), [10],
+                                    block_size=4)[0]
+        np.testing.assert_array_equal(indices, [1, 0])
 
     def test_all_equal_scores_prefer_low_indices(self):
-        np.testing.assert_array_equal(top_k_desc(np.full(10, 0.5), 3),
-                                      [0, 1, 2])
-
-    def test_boundary_ties_in_unsorted_blocks_prefer_low_global_index(self):
-        """A block may arrive with descending global indices (permuted shard
-        layouts); tie-breaking must still follow the global index order."""
-        acc = TopKAccumulator(1)
-        acc.update(np.array([5.0, 5.0]), np.array([7, 2]))
-        indices, _ = acc.result()
-        np.testing.assert_array_equal(indices, [2])
-        acc = TopKAccumulator(2)
-        acc.update(np.array([1.0, 3.0, 3.0, 3.0]), np.array([9, 8, 0, 4]))
-        indices, scores = acc.result()
-        np.testing.assert_array_equal(indices, [0, 4])
-        np.testing.assert_array_equal(scores, [3.0, 3.0])
+        indices, _ = _screen_scores(np.full(10, 0.5), [3], block_size=4)[0]
+        np.testing.assert_array_equal(indices, [0, 1, 2])
 
     def test_streaming_independent_of_blocking(self):
         rng = np.random.default_rng(1)
         scores = np.round(rng.random(500), 2)
-        expected = np.argsort(-scores, kind="stable")[:17]
+        expected = _stable_top_k(scores, 17)
         for block in (1, 7, 100, 500, 1000):
-            acc = TopKAccumulator(17)
-            for start in range(0, 500, block):
-                acc.update(scores[start:start + block],
-                           np.arange(start, min(start + block, 500)))
-            indices, values = acc.result()
+            indices, values = _screen_scores(scores, [17], block)[0]
             np.testing.assert_array_equal(indices, expected)
             np.testing.assert_array_equal(values, scores[expected])
 
     def test_merge_equals_global_selection(self):
         rng = np.random.default_rng(2)
         scores = np.round(rng.random(300), 2)
-        expected = np.argsort(-scores, kind="stable")[:9]
-        parts = np.array_split(rng.permutation(300), 4)
-        shard_results = []
-        for part in parts:
-            acc = TopKAccumulator(9)
-            acc.update(scores[part], part)
-            shard_results.append(acc.result())
+        expected = _stable_top_k(scores, 9)
+        shard_results = [
+            _screen_scores(scores[part], [9], block_size=64,
+                           start=int(part[0]))[0]
+            for part in np.array_split(np.arange(300), 4)]
         merged_idx, merged_sc = merge_top_k(shard_results, 9)
         np.testing.assert_array_equal(merged_idx, expected)
         np.testing.assert_array_equal(merged_sc, scores[expected])
 
     def test_batch_top_k_sets_matches_scalar_sets(self):
-        from repro.serving.topk import batch_top_k_sets, top_k_set
         rng = np.random.default_rng(3)
         for _ in range(50):
             num_queries = int(rng.integers(1, 8))
@@ -125,12 +126,11 @@ class TestTopK:
             cols = batch_top_k_sets(scores, k)
             for qi in range(num_queries):
                 np.testing.assert_array_equal(
-                    cols[qi], np.sort(top_k_set(scores[qi], k)))
+                    cols[qi], np.sort(_stable_top_k(scores[qi], k)))
 
-    def test_batched_screen_shard_matches_accumulators(self):
-        """The vectorised per-shard screen is bitwise the accumulator path
+    def test_batched_screen_shard_matches_stable_argsort(self):
+        """The vectorised per-shard screen is bitwise the stable argsort
         for every blocking, tie pattern, and per-query budget mix."""
-        from repro.serving.shards import screen_shard
         rng = np.random.default_rng(4)
         for _ in range(60):
             n = int(rng.integers(1, 100))
@@ -138,32 +138,14 @@ class TestTopK:
             block = int(rng.integers(1, 40))
             dtype = rng.choice([np.float32, np.float64])
             scores = rng.integers(0, 4, size=(num_queries, n)).astype(dtype)
-            emb = rng.standard_normal((n, 3))
-            catalog = ShardedEmbeddingCatalog(emb, {"emb": emb},
-                                              num_shards=1,
-                                              block_size=block)
-            offset = [0]
-
-            def score_block(emb_block, _proj_block):
-                start = offset[0]
-                offset[0] += len(emb_block)
-                return scores[:, start:offset[0]]
-
             padded = [int(rng.integers(0, 13)) for _ in range(num_queries)]
-            got = screen_shard(catalog.shards[0], block, score_block,
-                               num_queries, padded)
-            accs = [TopKAccumulator(k) for k in padded]
-            for start in range(0, n, block):
-                stop = min(start + block, n)
-                for qi in range(num_queries):
-                    accs[qi].update(scores[qi, start:stop],
-                                    np.arange(start, stop))
-            for qi in range(num_queries):
-                want_idx, want_sc = accs[qi].result()
+            got = _screen_scores(scores, padded, block)
+            for qi, k in enumerate(padded):
+                want = _stable_top_k(scores[qi], k)
                 got_idx, got_sc = got[qi]
-                np.testing.assert_array_equal(got_idx, want_idx)
-                np.testing.assert_array_equal(got_sc, want_sc)
-                assert got_sc.dtype == want_sc.dtype
+                np.testing.assert_array_equal(got_idx, want)
+                np.testing.assert_array_equal(got_sc, scores[qi, want])
+                assert got_sc.dtype == (dtype if k else np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +394,7 @@ class TestApproximateMode:
     def test_dot_approx_with_full_oversample_matches_exact(self, setup):
         _, config, *_ = setup
         if config.decoder != "dot":
-            pytest.skip("approximate mode is dot-decoder only")
+            pytest.skip("dot-decoder test: the inner-product prefilter")
         service = _service(setup, block_size=9, num_shards=2)
         exact = service.screen(3, top_k=5)
         approx = service.screen(3, top_k=5, approx=True,
@@ -423,7 +405,7 @@ class TestApproximateMode:
     def test_dot_approx_default_oversample_finds_top(self, setup):
         _, config, *_ = setup
         if config.decoder != "dot":
-            pytest.skip("approximate mode is dot-decoder only")
+            pytest.skip("dot-decoder test: the inner-product prefilter")
         service = _service(setup)
         exact = service.screen(6, top_k=3)
         approx = service.screen(6, top_k=3, approx=True)

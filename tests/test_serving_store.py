@@ -383,9 +383,6 @@ class TestCacheVersionUniqueness:
 
 class TestApproxStats:
     def test_prefilter_and_rescore_counted_separately(self, setup):
-        _, config, *_ = setup
-        if config.decoder != "dot":
-            pytest.skip("approximate mode is dot-decoder only")
         service = _service(setup)
         service.screen(0, top_k=3)  # warm the cache
         n = service.num_drugs

@@ -219,14 +219,6 @@ class TestAppendOnly:
                     f"append round {round_} rewrote {name}"
             assert len(after) > len(before)  # new segment files landed
 
-    def test_append_is_invalid_on_quantized_store(self, tmp_path):
-        decoder, emb, proj = _synthetic(n=12)
-        store = ShardStore(ShardStore.save(tmp_path / "q", emb, proj,
-                                           quantize="int8"))
-        with pytest.raises(ValueError, match="frozen snapshot"):
-            store.append(emb[:2], store_projections(store, decoder,
-                                                    emb[:2]))
-
     def test_rollback_restores_every_retained_version_bitwise(self,
                                                               tmp_path):
         decoder, emb, proj = _synthetic(n=15)
@@ -415,19 +407,6 @@ class TestServiceLivingCatalog:
         assert service.open_shards(tmp_path / "store")
         with pytest.raises(ValueError, match="not retained"):
             service.rollback_catalog(17)
-
-    def test_quantized_store_detaches_on_registration(self, setup,
-                                                      tmp_path):
-        corpus, extras, model, builder = setup
-        service = _service(setup)
-        service.save_shards(tmp_path / "store", quantize="int8")
-        assert service.open_shards(tmp_path / "store")
-        service.register_drug(extras[3], drug_id="xq")
-        # A frozen int8 snapshot cannot absorb exact rows: the pre-living-
-        # catalog fallback (detach + in-memory) still applies.
-        assert service._store is None
-        assert service.stats.appends_committed == 0
-        assert service.stats.registrations == 1
 
     def test_crash_during_register_recovers_on_reopen(self, setup,
                                                       tmp_path):
