@@ -128,6 +128,17 @@ def main() -> None:
     assert all([(h.index, h.probability) for h in r]
                == [(h.index, h.probability) for h in b]
                for r, b in zip(remote, batched))
+    # A backup copy is written from the served rows while the workers
+    # serve: the attached store, its catalog version and the workers stay.
+    version = sharded.catalog_version
+    sharded.save_shards(store_dir.parent / "backup", num_shards=4)
+    remote_screens = sharded.stats.remote_screens
+    again = sharded.screen_batch(queries, top_k=5)
+    assert sharded.remote is not None and sharded.catalog_version == version
+    assert sharded.stats.remote_screens == remote_screens + len(queries)
+    assert all([(h.index, h.probability) for h in a]
+               == [(h.index, h.probability) for h in b]
+               for a, b in zip(again, batched))
     sharded.close()  # stops the worker processes
     store_kib = sum(f.stat().st_size
                     for f in store_dir.iterdir()) / 1024

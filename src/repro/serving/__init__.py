@@ -29,7 +29,7 @@ workers with retries, replica failover, per-worker circuit breakers, and
 a local memory-mapped fallback — merged results stay bitwise-identical
 to the serial engine under any fault schedule
 (:class:`~repro.serving.faults.FaultPolicy` drives them
-deterministically in tests) — and
+deterministically from the worker side in tests) — and
 :meth:`DDIScreeningService.from_store` cold-boots a full service from a
 CRC-verified store plus a serving-context bundle without re-encoding
 the corpus.
@@ -48,18 +48,18 @@ re-opening instead of being excluded.
 
 from .cache import (EmbeddingCache, LatencyWindow, ServiceStats,
                     weights_fingerprint)
-from .faults import (FAULT_ACTIONS, CrashPoint, CrashPolicy, FaultInjected,
-                     FaultPolicy, FaultRule, corrupt_payload)
+from .faults import (FAULT_ACTIONS, CrashPoint, CrashPolicy, FaultPolicy,
+                     FaultRule, corrupt_payload)
 from .gateway import (DeadlineExceeded, GatewayClosed, GatewayOverloaded,
                       ScreeningGateway)
-from .precision import (SERVING_PRECISIONS, max_abs_error, rank_agreement,
-                        recall_at_k, resolve_precision)
+from .precision import (SERVING_PRECISIONS, rank_agreement, recall_at_k,
+                        resolve_precision)
 from .remote import (CircuitBreaker, FrameError, RemoteShardError,
                      RemoteShardExecutor, ShardWorker, recv_message,
                      send_message)
 from .service import DDIScreeningService, ScreenHit
 from .shards import CatalogShard, ShardedEmbeddingCatalog, exact_score_fn
-from .store import MappedShardCatalog, ShardIntegrityError, ShardStore
+from .store import ShardIntegrityError, ShardStore
 from .topk import merge_top_k
 
 __all__ = [
@@ -69,13 +69,13 @@ __all__ = [
     "EmbeddingCache", "ServiceStats", "LatencyWindow",
     "weights_fingerprint",
     "ShardedEmbeddingCatalog", "CatalogShard",
-    "ShardStore", "MappedShardCatalog", "ShardIntegrityError",
+    "ShardStore", "ShardIntegrityError",
     "exact_score_fn",
     "ShardWorker", "RemoteShardExecutor", "CircuitBreaker",
     "RemoteShardError", "FrameError", "send_message", "recv_message",
-    "FaultPolicy", "FaultRule", "FaultInjected", "FAULT_ACTIONS",
+    "FaultPolicy", "FaultRule", "FAULT_ACTIONS",
     "corrupt_payload", "CrashPoint", "CrashPolicy",
     "merge_top_k",
     "SERVING_PRECISIONS", "resolve_precision",
-    "rank_agreement", "recall_at_k", "max_abs_error",
+    "rank_agreement", "recall_at_k",
 ]

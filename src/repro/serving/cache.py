@@ -169,8 +169,7 @@ class ServiceStats:
 # Cache versions are allocated from one process-wide monotonic counter, so a
 # version number is never reused — not across mutations of one cache, and not
 # across cache *instances*: a version recorded against one cache (a memoized
-# engine's key, an attached store's validation point) can never match
-# another cache's content.
+# engine's key) can never match another cache's content.
 _VERSION_COUNTER = itertools.count(1)
 
 
@@ -184,8 +183,8 @@ class EmbeddingCache:
     broadcast-add instead of a catalog-sized GEMM.  ``version`` is a
     globally unique token reassigned on every content change (from
     ``_VERSION_COUNTER``) so derived structures (the service's sharded
-    catalog, an open shard store) know when to rebuild — and can never
-    confuse two caches' states.
+    catalog) know when to rebuild — and can never confuse two caches'
+    states.
     """
 
     # The model's parameter arrays the content was computed from; the

@@ -4,21 +4,19 @@ Fault tolerance is only trustworthy if every failure mode is *driven*, not
 hoped for.  This module is the shared harness: a :class:`FaultPolicy` is a
 list of :class:`FaultRule` entries keyed by ``(op, shard, attempt)`` that
 decide — deterministically, from call order alone — when a request is
-delayed, dropped, errored, or corrupted.  The same policy object plugs into
-both ends of the transport:
+delayed, dropped, errored, or corrupted.  The policy plugs into the worker
+end of the transport (:class:`~repro.serving.remote.ShardWorker` takes a
+``fault_policy``), so every fault travels the wire the way a real one
+does and reaches the client
+(:class:`~repro.serving.remote.RemoteShardExecutor`) on its own path:
 
-- **Worker-side** (:class:`~repro.serving.remote.ShardWorker` takes a
-  ``fault_policy``): ``delay`` sleeps before answering, ``drop`` severs the
-  connection without a reply, ``error`` returns a structured error
-  response, and ``corrupt`` flips bytes in the reply payload *after* the
-  checksum was computed — exactly what a torn frame looks like on the
-  wire.
-- **Client-side / in-process** (:class:`~repro.serving.remote
-  .RemoteShardExecutor` takes one too): ``delay`` stalls before the
-  request is sent (driving client timeouts), ``drop`` raises a connection
-  error before any bytes move, and ``error`` fails the request locally —
-  so retry/failover logic is testable without a misbehaving server, or
-  any server at all.
+- ``delay`` sleeps before answering — past the client's ``timeout_s``, a
+  timeout;
+- ``drop`` severs the connection without a reply — an EOF;
+- ``error`` returns a structured error response — a ``RemoteShardError``;
+- ``corrupt`` flips bytes in the reply payload *after* the checksum was
+  computed — exactly what a torn frame looks like on the wire, a
+  ``FrameError``.
 
 Determinism comes from *attempt counting*: the policy keeps one counter
 per ``(op, shard)`` key, incremented on every :meth:`FaultPolicy.decide`
@@ -127,10 +125,6 @@ class FaultRule:
                 and (self.attempt is None or self.attempt == attempt))
 
 
-class FaultInjected(RuntimeError):
-    """An ``error``-action fault surfaced as an exception (client side)."""
-
-
 @dataclass
 class _Firing:
     """One recorded fault firing, for test assertions."""
@@ -142,12 +136,12 @@ class _Firing:
 
 
 class FaultPolicy:
-    """Deterministic schedule of injected faults, shared by client and worker.
+    """Deterministic schedule of injected faults for shard workers.
 
-    Thread-safe: worker handler threads and client fan-out threads hit the
-    same counters.  :attr:`fired` records every firing in decision order,
-    so a test can assert not just the outcome but that the schedule it
-    wrote actually executed.
+    Thread-safe: the handler threads of every worker sharing the policy
+    hit the same counters.  :attr:`fired` records every firing in decision
+    order, so a test can assert not just the outcome but that the schedule
+    it wrote actually executed.
     """
 
     def __init__(self, rules: list[FaultRule] | tuple[FaultRule, ...] = ()):

@@ -55,11 +55,3 @@ def recall_at_k(reference: np.ndarray, candidate: np.ndarray,
         k = reference.size
     return rank_agreement(reference[:k], candidate[:k])
 
-
-def max_abs_error(reference: np.ndarray, candidate: np.ndarray) -> float:
-    """Largest absolute elementwise difference (0.0 for empty inputs)."""
-    reference = np.asarray(reference, dtype=np.float64)
-    candidate = np.asarray(candidate, dtype=np.float64)
-    if not reference.size:
-        return 0.0
-    return float(np.max(np.abs(reference - candidate)))

@@ -14,7 +14,9 @@ client):
   :func:`~repro.serving.shards.screen_exact_shard`, the per-shard task
   the client's local fallback runs too; it composes the in-process
   engine's ``exact_score_fn`` and ``screen_shard``, so per-shard results
-  are bitwise-equal by construction.
+  are bitwise-equal by construction.  Its ``fault_policy``
+  (:mod:`repro.serving.faults`) is where tests inject faults: each one
+  reaches the client over the wire, like a real one.
 - :class:`RemoteShardExecutor` — the client: it normalises a screen with
   :class:`~repro.serving.shards.ShardPlan`, fans the per-shard requests
   out over worker connections with per-request timeouts, bounded
@@ -57,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.decoder import kernel_kind
-from .faults import FaultInjected, FaultPolicy, corrupt_payload
+from .faults import FaultPolicy, corrupt_payload
 from .shards import (ExactRequest, ShardPlan, finalize_screen,
                      screen_exact_shard, validate_shard_results)
 from .store import ShardStore
@@ -227,8 +229,10 @@ class ShardWorker:
     catalog digest) before trusting its numbers.
 
     ``fault_policy`` injects deterministic faults into ``screen``
-    handling (delay / drop / error / corrupt) — the test and benchmark
-    harness for the failover client.
+    handling — the test and benchmark harness for the failover client,
+    which meets each action on its own path: ``drop`` as an EOF,
+    ``error`` as a :class:`RemoteShardError`, ``corrupt`` as a
+    :class:`FrameError` and ``delay`` (past ``timeout_s``) as a timeout.
     """
 
     def __init__(self, manifest: str | Path | ShardStore,
@@ -504,7 +508,6 @@ class RemoteShardExecutor:
                  breaker_threshold: int = 3,
                  breaker_reset_s: float = 5.0,
                  local_fallback: bool = True,
-                 fault_policy: FaultPolicy | None = None,
                  seed: int = 0):
         if not isinstance(store, ShardStore):
             store = ShardStore(store)
@@ -529,7 +532,6 @@ class RemoteShardExecutor:
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.local_fallback = local_fallback
-        self.fault_policy = fault_policy
         self._seed = int(seed)
         self._threads: ThreadPoolExecutor | None = None
         self._stats_lock = threading.Lock()
@@ -729,7 +731,7 @@ class RemoteShardExecutor:
                 self._bump("corrupt_responses")
                 last_error = self._record_failure(endpoint, error)
             except (OSError, EOFError, TimeoutError, RemoteShardError,
-                    FaultInjected, ValueError) as error:
+                    ValueError) as error:
                 last_error = self._record_failure(endpoint, error)
             else:
                 endpoint.breaker.record_success()
@@ -780,18 +782,6 @@ class RemoteShardExecutor:
 
     def _request_screen(self, endpoint: _Endpoint, request: ExactRequest,
                         shard: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        if self.fault_policy is not None:
-            rule = self.fault_policy.decide("screen", shard)
-            if rule is not None:
-                if rule.action == "delay":
-                    time.sleep(rule.delay_s)
-                elif rule.action == "drop":
-                    raise ConnectionResetError(
-                        "injected client-side connection drop")
-                elif rule.action == "error":
-                    raise FaultInjected("injected client-side fault")
-                elif rule.action == "corrupt":
-                    raise FrameError("injected client-side corrupt frame")
         if not endpoint.validated:
             self._validate_endpoint(endpoint)
         self._bump("remote_requests")

@@ -172,10 +172,11 @@ class DDIScreeningService:
         # staleness.
         self._catalog_engine: ShardedEmbeddingCatalog | None = None
         self._catalog_key: tuple | None = None
-        # Out-of-core tier: an attached memory-mapped shard store and the
-        # cache version its arrays were validated against.
+        # Out-of-core tier: an attached memory-mapped shard store, attached
+        # exactly while it holds the rows being served, and the prefilter
+        # sketch factors its sketch rows were made with.
         self._store: ShardStore | None = None
-        self._store_version: int | None = None
+        self._store_sketch: dict[str, np.ndarray] | None = None
         # Shard-worker tier: a fault-tolerant client over shard workers
         # (see connect_workers), tied to the attached store's lifetime,
         # and the local worker processes start_workers launched for it.
@@ -307,7 +308,7 @@ class DDIScreeningService:
         # any torn state (journal roll-forward/back, orphan quarantine)
         # before trusting the manifest.
         store = ShardStore(manifest, recover=True)
-        service._check_store(store, strict=True)
+        sketch = service._check_store(store)
         # Gathering materialises the rows in RAM (the cache needs them for
         # pair scoring and registrations).  open_shard CRC-checks each
         # file and memoizes the mapped shard, so screens reuse both.
@@ -316,7 +317,7 @@ class DDIScreeningService:
              for index in range(store.num_shards)],
             axis=0).astype(service._dtype, copy=False)
         service._cache.adopt(service._weights(), encoder_context, embeddings)
-        service._attach_store(store)
+        service._attach_store(store, sketch)
         if workers:
             service.connect_workers(workers)
         return service
@@ -354,13 +355,20 @@ class DDIScreeningService:
     # Cache lifecycle
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Explicitly drop the cache; next query re-encodes the catalog."""
+        """Drop the cache and detach the store (stopping its workers); the
+        next query re-encodes the catalog and screens in memory.
+
+        Every rebuild goes through here — a weight update seen by
+        :meth:`_ensure_fresh` and ``refresh(force=True)`` alike — so a
+        store never outlives the rows it holds.
+        """
         self._cache.drop()
+        self._detach_store()
 
     def refresh(self, force: bool = False) -> None:
         """Rebuild the cache now (``force=True`` skips the staleness check)."""
         if force:
-            self._cache.drop()
+            self.invalidate()
         self._ensure_fresh()
 
     def _catalog_digest(self, upto: int | None = None) -> str:
@@ -394,24 +402,41 @@ class DDIScreeningService:
         :meth:`open_shards`, possibly from a different process or host).
         The store plus a :meth:`save_serving_context` bundle is what
         :meth:`from_store` restarts from.  When the decoder prefilters
-        through a sketch (MLP), the sketch rows and factors are
-        materialised and stored too, so the store serves approximate
-        screens on a cold open.
+        through a sketch (MLP), the sketch rows and factors are stored
+        too, so the store serves approximate screens on a cold open.
+
+        The rows written are the rows served, and nothing is recomputed
+        into the cache: in memory, the cache's projections; with a store
+        attached, that store's rows, aliases and sketch factors — the
+        attached store and its workers keep serving, and the copy boots
+        (:meth:`from_store`) into bitwise-identical screens.  Saving into
+        the attached store's own directory raises ``ValueError``:
+        :meth:`compact_shards` rewrites that store in place.  Any other
+        directory that holds a store starts a fresh history.
         """
         self._ensure_fresh()
-        decoder = self._model.decoder
-        projections = self._cache.ensure_projections(decoder)
-        if getattr(decoder, "needs_sketch", False):
-            self._cache.ensure_sketch(decoder)
-            projections = self._cache.projections
-        manifest = ShardStore.save(
-            path, self._cache.embeddings, projections,
+        embeddings = self._cache.embeddings
+        if self._store is None:
+            sketch = (self._sketch_factors()
+                      if getattr(self._model.decoder, "needs_sketch", False)
+                      else None)
+            projections = self._cache.ensure_projections(self._model.decoder)
+        else:
+            if Path(path).resolve() == self._store.root.resolve():
+                raise ValueError(
+                    f"{path} holds the attached shard store; "
+                    f"compact_shards() rewrites it in place")
+            projections = self._catalog().rows(np.arange(self.num_drugs))
+            projections.update(dict.fromkeys(self._store.manifest["aliases"],
+                                             embeddings))
+            sketch = self._store_sketch
+        return ShardStore.save(
+            path, embeddings, projections,
             num_shards=num_shards or self.num_shards,
             block_size=block_size or self.block_size,
             fingerprint=self._fingerprint(),
             catalog_digest=self._catalog_digest(),
-            sketch_factors=self._cache.sketch_factors)
-        return manifest
+            sketch_factors=sketch)
 
     def open_shards(self, path: str | Path, strict: bool = False) -> bool:
         """Attach a :meth:`save_shards` store memory-mapped; True on success.
@@ -425,11 +450,14 @@ class DDIScreeningService:
         in-memory arrays, approximate screens prefilter the mapped sketch
         rows and rerank the mapped shortlist rows, and the store can serve
         shard workers (:meth:`start_workers`, :meth:`connect_workers`).
-        Results stay bitwise-identical to the in-memory engine.  A weight
-        update detaches the store — and stops its workers — on the next
-        query (the disk arrays no longer describe the cache) and screening
-        falls back in-memory; drug registrations are *appended through* to
-        the attached store instead (see :meth:`register_drugs`).
+        Results stay bitwise-identical to the in-memory engine.  The store
+        stays attached exactly while it holds the rows being served:
+        registrations are *appended through* to it (see
+        :meth:`register_drugs`) and :meth:`rollback_catalog` moves it with
+        the rows, while a rebuild (a weight update, :meth:`invalidate`) or
+        a failed append-through detaches it — and stops its workers — and
+        screening falls back in memory.  The store's sketch factors are
+        read, CRC-checked, when it opens.
 
         The attaching process owns the store: any torn state a crashed
         writer left behind (intent journal, partial segment files) is
@@ -437,76 +465,67 @@ class DDIScreeningService:
         :meth:`ShardStore.recover_dir`; the report is on
         ``service.shard_store.recovered``.
         """
+        self._ensure_fresh()
         try:
             store = ShardStore(path, recover=True)
+            sketch = self._check_store(store)
         except (OSError, ValueError, KeyError):
             if strict:
                 raise
             return False
-        self._ensure_fresh()
-        if not self._check_store(store, strict):
-            return False
-        self._attach_store(store)
+        self._attach_store(store, sketch)
         return True
 
-    def _check_store(self, store: ShardStore, strict: bool) -> bool:
-        """Whether ``store`` holds this service's rows: same weights
+    def _check_store(self, store: ShardStore) -> dict | None:
+        """Check that ``store`` holds this service's rows — same weights
         fingerprint (serving precision included), catalog digest and row
-        count.  A mismatch raises ``ValueError`` if ``strict``, else
-        returns False."""
+        count — or raise ``ValueError``; returns its sketch factors
+        (CRC-checked), or None when it has no sketch rows."""
         if store.fingerprint != self._fingerprint():
-            problem = ("shard store fingerprint does not match the current "
-                       "model weights")
-        elif store.catalog_digest != self._catalog_digest():
-            problem = "shard store was saved for a different drug catalog"
-        elif store.num_drugs != self.num_drugs:
-            problem = (f"shard store covers {store.num_drugs} drugs; this "
-                       f"service has {self.num_drugs}")
-        else:
-            return True
-        if strict:
-            raise ValueError(problem)
-        return False
+            raise ValueError("shard store fingerprint does not match the "
+                             "current model weights")
+        if store.catalog_digest != self._catalog_digest():
+            raise ValueError(
+                "shard store was saved for a different drug catalog")
+        if store.num_drugs != self.num_drugs:
+            raise ValueError(f"shard store covers {store.num_drugs} drugs; "
+                             f"this service has {self.num_drugs}")
+        if "sketch" not in store.projection_names:
+            return None
+        return store.sketch_factors()
 
-    def _attach_store(self, store: ShardStore) -> None:
-        """Serve from a store :meth:`_check_store` accepted."""
+    def _attach_store(self, store: ShardStore,
+                      sketch: dict[str, np.ndarray] | None) -> None:
+        """Serve from a store that holds exactly the cached rows, with the
+        sketch factors :meth:`_check_store` read from it."""
         self._detach_store()
         # The store now serves the candidate side, so the in-memory copy
         # of the dominant working set — the precomputed projections, ~4x
         # the embedding matrix for the MLP decoder — is redundant: release
-        # it, and the sketch factors with it, so approximate screens read
-        # the factors the store's sketch rows were made with.  (Assigned
-        # directly, NOT via a version bump: the cache content the store
-        # was validated against is unchanged.  If the store detaches
-        # later, ensure_projections recomputes lazily.)  The embeddings
-        # and encoder context stay resident — queries and registrations
-        # need them — so the service's floor is O(N·d), not O(N·d·5).
+        # it, and the sketch factors with it.  While the store is attached
+        # nothing recomputes them; after a detach ensure_projections does,
+        # lazily.  The embeddings and encoder context stay resident —
+        # queries and registrations need them — so the service's floor is
+        # O(N·d), not O(N·d·5).
         self._cache.projections = None
         self._cache.sketch_factors = None
         self._store = store
-        self._store_version = self._cache.version
+        self._store_sketch = sketch
 
     def _detach_store(self) -> None:
         self._store = None
-        self._store_version = None
+        self._store_sketch = None
         # Shard workers serve the detached store's shards — their answers
         # no longer describe the cache.
         self.disconnect_workers()
         self._catalog_engine = None
         self._catalog_key = None
 
-    def _sync_store(self) -> None:
-        """Drop the attached store if the cache has moved past it."""
-        if (self._store is not None
-                and self._store_version != self._cache.version):
-            self._detach_store()
-
     # ------------------------------------------------------------------
     # Shard-worker tier
     # ------------------------------------------------------------------
     def _attached_store(self, caller: str) -> ShardStore:
         """The attached store shard workers serve, or raise."""
-        self._sync_store()
         if self._store is None:
             raise RuntimeError(
                 f"{caller} needs an attached shard store "
@@ -615,7 +634,7 @@ class DDIScreeningService:
         if self._cache.matches(weights):
             self._cache.stats.cache_hits += 1
             return
-        self._cache.drop()
+        self.invalidate()
         self._rebuild(_freeze(weights))
 
     def _rebuild(self, weights: tuple[np.ndarray, ...]) -> None:
@@ -715,7 +734,8 @@ class DDIScreeningService:
         rows are *appended through* to it as a crash-safe segment (a new
         committed catalog version) instead of detaching it — the
         memory-mapped and shard-worker tiers keep serving across
-        registrations.
+        registrations.  If the append fails, the registration still
+        stands and the store detaches.
         """
         start = time.perf_counter()
         if drug_ids is None:
@@ -731,21 +751,17 @@ class DDIScreeningService:
         self._ensure_fresh()
         rows = self._encode_subset(self._cache.context, node_lists)
         projections = self._model.candidate_projections(rows)
-        cached = self._cache.projections
-        if (cached is not None and "sketch" in cached
-                and self._cache.sketch_factors is not None):
-            # Sketch the new rows with the *existing* factors so the
-            # append stays O(new rows) and keeps the precompute alive.
-            # Factors are per (weights, catalog) version — drift from the
-            # appended rows only degrades shortlist recall, never rerank
-            # exactness — and are refreshed on the next full rebuild.
+        factors = (self._store_sketch if self._store is not None
+                   else self._cache.sketch_factors)
+        if factors is not None:
+            # Sketch the new rows with the served catalog's *existing*
+            # factors so the append stays O(new rows) and keeps the
+            # sketch rows alive.  Factors are per (weights, catalog)
+            # version — drift from the appended rows only degrades
+            # shortlist recall, never rerank exactness — and are
+            # refreshed on the next full rebuild.
             projections["sketch"] = self._model.decoder.sketch_candidates(
-                projections, self._cache.sketch_factors)
-        # Snapshot *before* the version bump: cache versions are globally
-        # unique across services, so post-bump arithmetic cannot tell
-        # "in sync until this registration" from "already stale".
-        store_synced = (self._store is not None
-                        and self._store_version == self._cache.version)
+                projections, factors)
         self._cache.append_rows(rows, projections=projections)
 
         indices = []
@@ -757,7 +773,7 @@ class DDIScreeningService:
             self._extension_nodes.append(nodes)
             indices.append(index)
         self._id_table = None
-        if store_synced:
+        if self._store is not None:
             self._append_to_store(rows, projections)
         stats = self._cache.stats
         stats.registrations += len(smiles_list)
@@ -784,7 +800,6 @@ class DDIScreeningService:
     def catalog_version(self) -> int | None:
         """The attached store's committed catalog version (None = no
         store)."""
-        self._sync_store()
         return None if self._store is None else self._store.version
 
     @property
@@ -808,30 +823,19 @@ class DDIScreeningService:
         """Carry freshly registered rows through to the attached store.
 
         Called with the in-memory registration already complete.  Any
-        append failure degrades gracefully — the store detaches and the
-        service keeps serving in-memory, exactly the pre-living-catalog
-        behaviour.  (A simulated :class:`~repro.serving.faults.CrashPoint`
-        is a ``BaseException`` and deliberately flies past the
-        degradation path, like a real ``kill -9`` would.)
+        append failure degrades gracefully — the store, which no longer
+        holds every served row, detaches and the service keeps serving
+        in memory.  (A simulated
+        :class:`~repro.serving.faults.CrashPoint` is a ``BaseException``
+        and deliberately flies past the degradation path, like a real
+        ``kill -9`` would.)
         """
-        store = self._store
-        if store is None:
-            return
         try:
-            proj_rows = dict(projections)
-            if ("sketch" in store.projection_names
-                    and "sketch" not in proj_rows):
-                # The store was saved approx-ready but the in-memory
-                # sketch precompute was released at open_shards; sketch
-                # the new rows with the store's own factors.
-                proj_rows["sketch"] = self._model.decoder.sketch_candidates(
-                    proj_rows, self._sketch_factors())
-            store.append(rows, proj_rows,
-                         catalog_digest=self._catalog_digest())
+            self._store.append(rows, projections,
+                               catalog_digest=self._catalog_digest())
         except Exception:
             self._detach_store()
             return
-        self._store_version = self._cache.version
         self._cache.stats.appends_committed += 1
         self._invalidate_execution()
 
@@ -844,12 +848,8 @@ class DDIScreeningService:
         Returns the new committed version.  Old segment files survive for
         retained versions — ``service.shard_store.gc()`` reclaims them.
         """
-        self._sync_store()
-        if self._store is None:
-            raise RuntimeError("compact_shards needs an attached shard "
-                               "store (save_shards + open_shards first)")
-        version = self._store.compact(num_shards,
-                                      catalog_digest=self._catalog_digest())
+        version = self._attached_store("compact_shards").compact(
+            num_shards, catalog_digest=self._catalog_digest())
         self._cache.stats.compactions += 1
         self._invalidate_execution()
         return version
@@ -867,11 +867,7 @@ class DDIScreeningService:
         are bitwise-identical to the target version's.  Returns the new
         committed store version.
         """
-        self._sync_store()
-        store = self._store
-        if store is None:
-            raise RuntimeError("rollback_catalog needs an attached shard "
-                               "store (save_shards + open_shards first)")
+        store = self._attached_store("rollback_catalog")
         target = store.manifest_for(version)
         n = int(target["num_drugs"])
         if not self._num_corpus <= n <= self.num_drugs:
@@ -898,7 +894,6 @@ class DDIScreeningService:
             del self._extension_nodes[n - self._num_corpus:]
             self._id_table = None
         self._cache.truncate_rows(n)
-        self._store_version = self._cache.version
         self._cache.stats.rollbacks += 1
         self._invalidate_execution()
         return new_version
@@ -983,20 +978,20 @@ class DDIScreeningService:
     # probabilities — is gone: ranking now happens inside the streaming
     # top-k selection, which reproduces its ordering, ties included.)
     def _catalog(self) -> ShardedEmbeddingCatalog:
-        """The screening catalog for the current cache contents (memoized).
+        """The screening catalog for the served rows (memoized).
 
-        With a shard store attached (and still describing the cache), this
-        is the memory-mapped catalog; otherwise the in-memory one.  Exact
-        and approximate screens read the same catalog.  Keys embed the
-        cache's globally unique version, so a rebuilt or appended cache
-        can never be served a stale engine.
+        One :class:`ShardedEmbeddingCatalog` either way: over the attached
+        store's memory-mapped shards, or over the cache's in-memory
+        arrays.  Exact and approximate screens read the same catalog.
+        Keys embed the store version or the cache's globally unique
+        version, so a rebuilt or appended catalog can never be served a
+        stale engine.
         """
-        self._sync_store()
         if self._store is not None:
             # The store version rides the key, so an append/compaction/
             # rollback commit retires the memoized engine and the next
             # screen admits the new catalog version (in-flight screens
-            # keep their version-pinned MappedShardCatalog).
+            # keep the version-pinned catalog they started with).
             key = ("store", id(self._store), self._store.version,
                    self.block_size)
             if self._catalog_engine is None or self._catalog_key != key:
@@ -1057,9 +1052,6 @@ class DDIScreeningService:
         # are not useful pair evaluations: charge only the eligible ones
         # (every screen excludes at least the query itself).
         eligible = sum(self.num_drugs - e.size for e in exclude)
-        # A stale store detaches here and takes its workers with it, so
-        # they never answer for weights they were not saved under.
-        self._sync_store()
 
         if approx:
             if not decoder.supports_prefilter:
@@ -1099,21 +1091,18 @@ class DDIScreeningService:
     def _sketch_factors(self) -> dict[str, np.ndarray]:
         """The MLP prefilter's sketch factors for the served catalog.
 
-        Built on the cache when serving from memory; read once from an
-        attached store, whose sketch rows were made with them.
+        Built on the cache when serving from memory; with a store
+        attached, the factors its sketch rows were made with, read when
+        it opened.
         """
         if self._store is None:
             return self._cache.ensure_sketch(self._model.decoder)
-        if self._cache.sketch_factors is None:
-            factors = ("sketch" in self._store.projection_names
-                       and self._store.sketch_factors())
-            if not factors:
-                raise ValueError(
-                    "attached shard store carries no prefilter sketch for "
-                    f"{type(self._model.decoder).__name__}; re-save it with "
-                    "save_shards() to serve approximate mode")
-            self._cache.sketch_factors = factors
-        return self._cache.sketch_factors
+        if self._store_sketch is None:
+            raise ValueError(
+                "attached shard store carries no prefilter sketch for "
+                f"{type(self._model.decoder).__name__}; re-save it with "
+                "save_shards() to serve approximate mode")
+        return self._store_sketch
 
     def _approx_screen(self, kernel, query_proj, plan: ShardPlan,
                        oversample, two_sided):
@@ -1154,9 +1143,9 @@ class DDIScreeningService:
             gather[qi, :len(indices)] = indices
         probs = np.zeros(gather.shape)
         if gather.size:
-            _emb_rows, proj_rows = catalog.rows(gather.reshape(-1))
             rows = {name: value.reshape(gather.shape + value.shape[1:])
-                    for name, value in proj_rows.items()}
+                    for name, value in catalog.rows(
+                        gather.reshape(-1)).items()}
             probs = stable_sigmoid(kernel.score_rows(query_proj, rows))
             if two_sided:
                 probs = 0.5 * (probs + stable_sigmoid(

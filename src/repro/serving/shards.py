@@ -1,8 +1,10 @@
 """One shard plan for every placement of a catalog screen.
 
 A screen ranks the whole catalog for a batch of queries and keeps each
-query's top-k.  The catalog is split into shards of contiguous rows, and
-every placement answers a screen in the same three steps:
+query's top-k.  The catalog is split into shards of contiguous rows — cut
+by :func:`shard_ranges`, the one layout the in-memory catalog, a saved
+store and a compacted one all share — and every placement answers a screen
+in the same three steps:
 
 1. :class:`ShardPlan` normalises the request once: per-query ``top_k``
    budgets, per-query exclusion arrays, and the *padded* budget
@@ -14,8 +16,9 @@ every placement answers a screen in the same three steps:
    (score desc, index asc) order, drops excluded rows and truncates.
 
 Placements differ only in where step 2 runs: :class:`ShardedEmbeddingCatalog`
-runs it inline (over in-memory views, or over memory-mapped shard files as
-:class:`~repro.serving.store.MappedShardCatalog`), and
+runs it inline — over in-memory views, or over a
+:class:`~repro.serving.store.ShardStore`'s memory-mapped shard files (what
+``ShardStore.catalog()`` returns) — and
 :class:`~repro.serving.remote.RemoteShardExecutor` on shard worker
 processes — local or remote — with a local fallback.  The exact-mode unit
 of work the workers and the fallback run is one function,
@@ -38,6 +41,19 @@ from .topk import as_float_scores, batch_top_k_sets, merge_top_k
 
 # score_block(embeddings_block, projections_block) -> (num_queries, block) scores
 ScoreBlockFn = Callable[[np.ndarray, dict[str, np.ndarray]], np.ndarray]
+
+
+def shard_ranges(num_rows: int, num_shards: int) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` row range of every non-empty shard.
+
+    An even split: the first ``num_rows % num_shards`` shards hold one row
+    more, and shards beyond ``num_rows`` are dropped.
+    """
+    if num_shards < 1:
+        raise ValueError("num_shards must be >= 1")
+    return [(int(chunk[0]), int(chunk[-1]) + 1)
+            for chunk in np.array_split(np.arange(num_rows), num_shards)
+            if len(chunk)]
 
 
 def normalize_top_k(top_k, num_queries: int) -> list[int]:
@@ -323,12 +339,17 @@ class CatalogShard:
 
 
 class ShardedEmbeddingCatalog:
-    """Embeddings + candidate projections in contiguous shards, in memory.
+    """Embeddings + candidate projections in contiguous shards.
 
-    Rows are split into ``num_shards`` contiguous ranges
-    (``np.array_split`` boundaries, the same ones a persisted
-    :class:`~repro.serving.store.ShardStore` uses), so every shard is a
-    zero-copy view of the parent arrays.
+    One catalog for every in-process placement.  The array constructor
+    cuts in-memory matrices at :func:`shard_ranges`, so every shard is a
+    zero-copy view of the parent arrays; :meth:`from_shards` wraps shards
+    opened elsewhere — ``ShardStore.catalog()`` passes its memory-mapped
+    ones, which screen bitwise-identically while heap memory stays
+    O(block + k).  The shard list is fixed at construction, so a catalog
+    built from a store pins that store's version: the store can append,
+    compact or roll back underneath it and the catalog keeps screening
+    the rows it opened.
     """
 
     def __init__(self, embeddings: np.ndarray,
@@ -337,33 +358,42 @@ class ShardedEmbeddingCatalog:
         embeddings = np.asarray(embeddings)
         if embeddings.ndim != 2:
             raise ValueError("embeddings must be a (num_drugs, dim) matrix")
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
         projections = dict(projections or {})
         for name, matrix in projections.items():
             if len(matrix) != len(embeddings):
                 raise ValueError(
                     f"projection {name!r} has {len(matrix)} rows for "
                     f"{len(embeddings)} catalog drugs")
-        self._shards = []
-        for chunk in np.array_split(np.arange(len(embeddings),
-                                              dtype=np.int64), num_shards):
-            if not len(chunk):
-                continue
-            lo, hi = int(chunk[0]), int(chunk[-1]) + 1
-            self._shards.append(CatalogShard(
-                indices=chunk, embeddings=embeddings[lo:hi],
-                projections={k: v[lo:hi] for k, v in projections.items()}))
-        self._embeddings = embeddings
-        self._projections = projections
+        self._set_shards([
+            CatalogShard(indices=np.arange(lo, hi, dtype=np.int64),
+                         embeddings=embeddings[lo:hi],
+                         projections={k: v[lo:hi]
+                                      for k, v in projections.items()})
+            for lo, hi in shard_ranges(len(embeddings), num_shards)],
+            block_size)
+
+    @classmethod
+    def from_shards(cls, shards: Sequence[CatalogShard],
+                    block_size: int) -> "ShardedEmbeddingCatalog":
+        """A catalog over ready-made shards of ascending, contiguous rows."""
+        catalog = cls.__new__(cls)
+        catalog._set_shards(list(shards), block_size)
+        return catalog
+
+    def _set_shards(self, shards: list[CatalogShard],
+                    block_size: int) -> None:
+        if block_size < 1:
+            raise ValueError("block_size must be >= 1")
+        self._shards = shards
+        self._starts = np.array([int(s.indices[0]) for s in shards],
+                                dtype=np.int64)
+        self._num_drugs = sum(s.num_drugs for s in shards)
         self.block_size = block_size
 
     # ------------------------------------------------------------------
     @property
     def num_drugs(self) -> int:
-        return len(self._embeddings)
+        return self._num_drugs
 
     @property
     def num_shards(self) -> int:
@@ -373,12 +403,39 @@ class ShardedEmbeddingCatalog:
     def shards(self) -> list[CatalogShard]:
         return list(self._shards)
 
-    def rows(self, indices: np.ndarray) -> tuple[np.ndarray,
-                                                 dict[str, np.ndarray]]:
-        """Gather ``(embeddings, projections)`` rows by global catalog index."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return (self._embeddings[indices],
-                {k: v[indices] for k, v in self._projections.items()})
+    def rows(self, indices: Sequence[int] | np.ndarray
+             ) -> dict[str, np.ndarray]:
+        """Gather candidate projection rows by global catalog index.
+
+        Rows come back as in-memory arrays (callers gather shortlists, not
+        catalogs), bitwise-equal for every placement and shard count; from
+        a memory-mapped store only the pages they live on are read.
+        """
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        lo, hi = (indices.min(), indices.max()) if indices.size else (0, 0)
+        if lo < 0 or hi >= self._num_drugs:
+            raise IndexError(f"row index out of catalog range "
+                             f"[0, {self._num_drugs})")
+        first, last = np.searchsorted(self._starts, (lo, hi),
+                                      side="right") - 1
+        if first == last:
+            # Every row in one shard (always, for a one-shard catalog):
+            # the takes are the answer, no scatter.
+            shard = self._shards[first]
+            local = indices - shard.indices[0]
+            return {name: np.take(matrix, local, axis=0)
+                    for name, matrix in shard.projections.items()}
+        shard_of = np.searchsorted(self._starts, indices, side="right") - 1
+        out = {name: np.empty((len(indices),) + matrix.shape[1:],
+                              dtype=matrix.dtype)
+               for name, matrix in self._shards[0].projections.items()}
+        for sid in range(first, last + 1):
+            mask = shard_of == sid
+            shard = self._shards[sid]
+            local = indices[mask] - shard.indices[0]
+            for name, matrix in shard.projections.items():
+                out[name][mask] = np.take(matrix, local, axis=0)
+        return out
 
     # ------------------------------------------------------------------
     def screen(self, score_block: ScoreBlockFn, num_queries: int,

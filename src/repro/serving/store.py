@@ -26,16 +26,21 @@ sketch rows and factors are stored too), appends and cold boots.
 
 The store is a **versioned, crash-consistent, append-only catalog**:
 
-- :meth:`append` lands new drugs as segment files without touching a byte
-  of any existing shard file; :meth:`compact` merges accumulated segments
-  into full shards; :meth:`rollback` re-commits any retained version's
-  content as a new version; :meth:`gc` drops old retained versions.
-- Every mutation is staged through a write-ahead intent journal
-  (``journal.json``), then data files land via atomic temp+rename writes,
-  then a retained ``manifest.v{N}.json`` snapshot, and finally one atomic
-  ``os.replace`` of ``manifest.json`` **commits** the new version.  Catalog
-  versions increase monotonically — a rollback is a new version whose
-  content equals an old one, so readers never see version numbers reused.
+- :meth:`save` writes version 0; :meth:`append` lands new drugs as
+  segment files without touching a byte of any existing shard file;
+  :meth:`compact` merges accumulated segments into full shards;
+  :meth:`rollback` re-commits any retained version's content as a new
+  version; :meth:`gc` drops old retained versions.  Saving into a
+  directory that holds a store starts a fresh history: the old manifests
+  go, and data files the new store does not reference are left for
+  :meth:`gc`.
+- Every write — version 0 included — is staged through a write-ahead
+  intent journal (``journal.json``), then data files land via atomic
+  temp+rename writes, then a retained ``manifest.v{N}.json`` snapshot, and
+  finally one atomic ``os.replace`` of ``manifest.json`` **commits** the
+  new version.  Catalog versions increase monotonically — a rollback is a
+  new version whose content equals an old one, so readers never see
+  version numbers reused.
 - Opening with ``recover=True`` (what :meth:`DDIScreeningService.open_shards
   <repro.serving.service.DDIScreeningService.open_shards>` and
   ``from_store`` do) repairs any torn state a dead writer left behind:
@@ -57,11 +62,13 @@ time and its heap allocations stay O(block + k) — a catalog (projections
 included) far larger than RAM streams through the engine.  A store's shards
 are the contiguous row ranges of the engine's shard plan
 (:mod:`repro.serving.shards`), and every placement reads them the same way:
-:class:`MappedShardCatalog` runs the plan inline, and shard workers and the
-remote client's local fallback (:mod:`repro.serving.remote`) open single
-shards by manifest path and run the one exact per-shard task — no catalog
-array ever crosses a process boundary, and results are bitwise-identical
-to the in-memory engine for every block size and shard count.
+:meth:`ShardStore.catalog` wraps the mapped shards in the one
+:class:`~repro.serving.shards.ShardedEmbeddingCatalog`, which runs the plan
+inline, and shard workers and the remote client's local fallback
+(:mod:`repro.serving.remote`) open single shards by manifest path and run
+the one exact per-shard task — no catalog array ever crosses a process
+boundary, and results are bitwise-identical to the in-memory engine for
+every block size and shard count.
 """
 
 from __future__ import annotations
@@ -71,12 +78,12 @@ import re
 import threading
 import zlib
 from pathlib import Path
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
 from .faults import CrashPolicy
-from .shards import CatalogShard, ShardedEmbeddingCatalog
+from .shards import CatalogShard, ShardedEmbeddingCatalog, shard_ranges
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.json"
@@ -153,6 +160,76 @@ def _manifest_files(manifest: dict) -> set[str]:
     sketch = manifest.get("sketch_factors") or {}
     names.update(sketch.values())
     return names
+
+
+def _cut_shard(stem: str, lo: int, hi: int, embeddings: np.ndarray,
+               projections: dict[str, np.ndarray], names: list[str],
+               offset: int = 0) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """Name and cut one shard's files: rows ``[lo, hi)`` of the embeddings
+    and of each named projection, as ``{stem}.emb.npy`` and
+    ``{stem}.proj.{name}.npy``.
+
+    Returns the shard's manifest entry, covering global rows ``[offset +
+    lo, offset + hi)``, and its ``(file name, rows)`` list for
+    :func:`_commit`.
+    """
+    spec = {"start": offset + lo, "stop": offset + hi,
+            "embeddings": f"{stem}.emb.npy",
+            "projections": {name: f"{stem}.proj.{name}.npy"
+                            for name in names}}
+    files = [(spec["embeddings"], embeddings[lo:hi])]
+    files += [(spec["projections"][name], np.asarray(projections[name])[lo:hi])
+              for name in names]
+    return spec, files
+
+
+def _commit(root: Path, crash: Callable[[str], None], op: str,
+            new_manifest: dict, data_files: list[tuple[str, np.ndarray]]
+            ) -> None:
+    """Stage and atomically commit ``new_manifest`` under ``root``.
+
+    The write-ahead protocol, with a named ``crash`` point after every
+    durable step (``{op}.begin`` fires before the first one):
+
+    1. ``journal.json`` — the intent: target version, the retained
+       manifest name, and every data file about to be written.  From
+       here a dead writer is recoverable: either all listed files plus
+       the retained manifest made it (roll forward) or they did not
+       (roll back + quarantine).
+    2. each data file, via atomic temp+rename, CRC recorded;
+    3. the retained ``manifest.v{N}.json`` snapshot;
+    4. **commit point** — one atomic ``os.replace`` of ``manifest.json``;
+    5. journal deleted (a crash between 4 and 5 is already committed —
+       recovery just tidies the journal).
+
+    No store object is touched: callers adopt the new manifest only after
+    this returns.
+    """
+    target_version = int(new_manifest["version"])
+    retained_name = _retained_name(target_version)
+    crash(f"{op}.begin")
+    journal = {
+        "format": JOURNAL_FORMAT,
+        "op": op,
+        "target_version": target_version,
+        "manifest": retained_name,
+        "files": [name for name, _ in data_files],
+    }
+    _atomic_write_text(root, JOURNAL_NAME,
+                       json.dumps(journal, indent=2, sort_keys=True))
+    crash(f"{op}.journal")
+    checksums = dict(new_manifest.get("checksums") or {})
+    for name, array in data_files:
+        checksums[name] = _atomic_save(root, name, array)
+        crash(f"{op}.file:{name}")
+    new_manifest["checksums"] = checksums
+    payload = json.dumps(new_manifest, indent=2, sort_keys=True)
+    _atomic_write_text(root, retained_name, payload)
+    crash(f"{op}.manifest")
+    _atomic_write_text(root, MANIFEST_NAME, payload)
+    crash(f"{op}.commit")
+    (root / JOURNAL_NAME).unlink()
+    crash(f"{op}.done")
 
 
 class ShardStore:
@@ -388,62 +465,21 @@ class ShardStore:
         with _NPY_LOAD_LOCK:
             return np.load(self.root / name, mmap_mode="r")
 
-    def catalog(self, block_size: int | None = None) -> "MappedShardCatalog":
-        """A screening catalog over the memory-mapped shards."""
-        return MappedShardCatalog(self, block_size or self.block_size)
+    def catalog(self, block_size: int | None = None
+                ) -> ShardedEmbeddingCatalog:
+        """A :class:`~repro.serving.shards.ShardedEmbeddingCatalog` over
+        the memory-mapped shards of the current version.
+
+        The catalog holds the shards it was built from, so it keeps
+        screening this version after the store commits another.
+        """
+        return ShardedEmbeddingCatalog.from_shards(
+            [self.open_shard(i) for i in range(self.num_shards)],
+            block_size or self.block_size)
 
     # ------------------------------------------------------------------
     # Versioned mutation protocol
     # ------------------------------------------------------------------
-    def _commit(self, op: str, new_manifest: dict,
-                data_files: list[tuple[str, np.ndarray]]) -> None:
-        """Stage and atomically commit ``new_manifest`` as a new version.
-
-        The write-ahead protocol, with a named crash point after every
-        durable step (``{op}.begin`` fires before the first one):
-
-        1. ``journal.json`` — the intent: target version, the retained
-           manifest name, and every data file about to be written.  From
-           here a dead writer is recoverable: either all listed files plus
-           the retained manifest made it (roll forward) or they did not
-           (roll back + quarantine).
-        2. each data file, via atomic temp+rename, CRC recorded;
-        3. the retained ``manifest.v{N}.json`` snapshot;
-        4. **commit point** — one atomic ``os.replace`` of
-           ``manifest.json``;
-        5. journal deleted (a crash between 4 and 5 is already committed —
-           recovery just tidies the journal).
-
-        The in-memory store is untouched; callers :meth:`_install` the new
-        manifest only after this returns.
-        """
-        root = self.root
-        target_version = int(new_manifest["version"])
-        retained_name = _retained_name(target_version)
-        self._crash(f"{op}.begin")
-        journal = {
-            "format": JOURNAL_FORMAT,
-            "op": op,
-            "target_version": target_version,
-            "manifest": retained_name,
-            "files": [name for name, _ in data_files],
-        }
-        _atomic_write_text(root, JOURNAL_NAME,
-                           json.dumps(journal, indent=2, sort_keys=True))
-        self._crash(f"{op}.journal")
-        checksums = dict(new_manifest.get("checksums") or {})
-        for name, array in data_files:
-            checksums[name] = _atomic_save(root, name, array)
-            self._crash(f"{op}.file:{name}")
-        new_manifest["checksums"] = checksums
-        payload = json.dumps(new_manifest, indent=2, sort_keys=True)
-        _atomic_write_text(root, retained_name, payload)
-        self._crash(f"{op}.manifest")
-        _atomic_write_text(root, MANIFEST_NAME, payload)
-        self._crash(f"{op}.commit")
-        (root / JOURNAL_NAME).unlink()
-        self._crash(f"{op}.done")
-
     def _copy_manifest(self) -> dict:
         """A mutation-safe deep copy of the current manifest."""
         return json.loads(json.dumps(self.manifest))
@@ -492,25 +528,18 @@ class ShardStore:
                         f"projection {name!r} has {len(projections[name])} "
                         f"rows for {len(embeddings)} appended drugs")
             new_version = self.version + 1
-            start, stop = self._num_drugs, self._num_drugs + len(embeddings)
-            emb_file = f"seg_v{new_version:06d}.emb.npy"
-            data_files: list[tuple[str, np.ndarray]] = [(emb_file,
-                                                         embeddings)]
-            proj_files: dict[str, str] = {}
-            for name in sorted(expected - aliases):
-                file_name = f"seg_v{new_version:06d}.proj.{name}.npy"
-                proj_files[name] = file_name
-                data_files.append((file_name,
-                                   np.asarray(projections[name])))
+            spec, data_files = _cut_shard(
+                f"seg_v{new_version:06d}", 0, len(embeddings), embeddings,
+                projections, sorted(expected - aliases),
+                offset=self._num_drugs)
             new_manifest = self._copy_manifest()
             new_manifest["version"] = new_version
-            new_manifest["num_drugs"] = stop
+            new_manifest["num_drugs"] = spec["stop"]
             if catalog_digest is not None:
                 new_manifest["catalog_digest"] = catalog_digest
-            new_manifest["shards"] = new_manifest["shards"] + [
-                {"start": start, "stop": stop, "embeddings": emb_file,
-                 "projections": proj_files}]
-            self._commit("append", new_manifest, data_files)
+            new_manifest["shards"] = new_manifest["shards"] + [spec]
+            _commit(self.root, self._crash, "append", new_manifest,
+                    data_files)
             # Existing shard indices (and their mmaps) are untouched by an
             # append, so the open-shard memo survives; the verify memo
             # never does (satellite of the crash-safety contract).
@@ -535,8 +564,7 @@ class ShardStore:
                 largest = max(int(spec["stop"]) - int(spec["start"])
                               for spec in self.manifest["shards"])
                 num_shards = max(1, -(-self._num_drugs // largest))
-            if num_shards < 1:
-                raise ValueError("num_shards must be >= 1")
+            ranges = shard_ranges(self._num_drugs, num_shards)
             aliases = set(self.manifest["aliases"])
             names = [name for name in self.manifest["projections"]
                      if name not in aliases]
@@ -551,30 +579,19 @@ class ShardStore:
             merged = {name: np.concatenate(parts, axis=0)
                       for name, parts in proj_parts.items()}
             new_version = self.version + 1
-            chunks = [c for c in np.array_split(
-                np.arange(len(embeddings), dtype=np.int64), num_shards)
-                if len(c)]
-            data_files: list[tuple[str, np.ndarray]] = []
-            shard_specs = []
-            for i, chunk in enumerate(chunks):
-                lo, hi = int(chunk[0]), int(chunk[-1]) + 1
-                emb_file = f"seg_v{new_version:06d}_{i:05d}.emb.npy"
-                data_files.append((emb_file, embeddings[lo:hi]))
-                proj_files = {}
-                for name in names:
-                    file_name = (f"seg_v{new_version:06d}_{i:05d}"
-                                 f".proj.{name}.npy")
-                    data_files.append((file_name, merged[name][lo:hi]))
-                    proj_files[name] = file_name
-                shard_specs.append({"start": lo, "stop": hi,
-                                    "embeddings": emb_file,
-                                    "projections": proj_files})
+            shard_specs, data_files = [], []
+            for i, (lo, hi) in enumerate(ranges):
+                spec, files = _cut_shard(f"seg_v{new_version:06d}_{i:05d}",
+                                         lo, hi, embeddings, merged, names)
+                shard_specs.append(spec)
+                data_files += files
             new_manifest = self._copy_manifest()
             new_manifest["version"] = new_version
             new_manifest["shards"] = shard_specs
             if catalog_digest is not None:
                 new_manifest["catalog_digest"] = catalog_digest
-            self._commit("compact", new_manifest, data_files)
+            _commit(self.root, self._crash, "compact", new_manifest,
+                    data_files)
             self._install(new_manifest)
             return new_version
 
@@ -607,7 +624,7 @@ class ShardStore:
             new_version = self.version + 1
             new_manifest = json.loads(json.dumps(target))
             new_manifest["version"] = new_version
-            self._commit("rollback", new_manifest, [])
+            _commit(self.root, self._crash, "rollback", new_manifest, [])
             self._install(new_manifest)
             return new_version
 
@@ -795,28 +812,26 @@ class ShardStore:
              sketch_factors: dict[str, np.ndarray] | None = None) -> Path:
         """Write a shard store under directory ``path``; returns the manifest.
 
-        Rows are split into the same contiguous ranges the in-memory
-        catalog uses (``np.array_split`` boundaries), so a reopened store
-        screens shard-for-shard identically.  Projections
-        whose matrix *is* the embedding matrix (the dot decoder's identity
-        precompute) are recorded as aliases, not written twice.
+        Rows are split at :func:`~repro.serving.shards.shard_ranges`, the
+        boundaries the in-memory catalog uses, so a reopened store screens
+        shard-for-shard identically.  Projections whose matrix *is* the
+        embedding matrix (the dot decoder's identity precompute) are
+        recorded as aliases, not written twice.  ``sketch_factors`` (the
+        MLP prefilter's ``{"mean", "std", "components"}``) are written
+        alongside the ``"sketch"`` projection rows, so the store serves
+        approximate screens on a cold open without the original cache.
 
-        The store starts at catalog version 0, with the version-0 manifest
-        retained alongside ``manifest.json`` so later :meth:`rollback`
-        calls can restore the initial catalog.
-
-        Every file lands with its CRC32 in the manifest.
-        ``sketch_factors`` (the MLP prefilter's ``{"mean", "std",
-        "components"}``) are written alongside the ``"sketch"`` projection
-        rows, so the store serves approximate screens on a cold open
-        without the original cache.
+        Version 0 is committed through the same journal as every later
+        version, every file with its CRC32, and its manifest is retained
+        so :meth:`rollback` can restore the initial catalog.  A directory
+        that already holds a store starts a fresh history: its manifests
+        and any journal are removed first, and data files the new store
+        does not reference are left for :meth:`gc`.
         """
         embeddings = np.asarray(embeddings)
         if embeddings.ndim != 2 or not len(embeddings):
             raise ValueError("embeddings must be a non-empty "
                              "(num_drugs, dim) matrix")
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         projections = dict(projections or {})
@@ -830,41 +845,20 @@ class ShardStore:
                     f"{len(embeddings)} catalog drugs")
         aliases = sorted(name for name, matrix in projections.items()
                          if matrix is embeddings)
-
-        root = Path(path)
-        root.mkdir(parents=True, exist_ok=True)
-        chunks = [c for c in np.array_split(
-            np.arange(len(embeddings), dtype=np.int64), num_shards)
-            if len(c)]
-        # Every array is written atomically (temp + os.replace) and its
-        # CRC32 recorded, so a crash mid-save can never leave readable but
-        # half-written shard files, and a torn file written any other way
-        # is detected on open instead of silently mis-scoring.
-        checksums: dict[str, int] = {}
-        shard_specs = []
-        for i, chunk in enumerate(chunks):
-            lo, hi = int(chunk[0]), int(chunk[-1]) + 1
-            emb_file = f"shard_{i:05d}.emb.npy"
-            checksums[emb_file] = _atomic_save(root, emb_file,
-                                               embeddings[lo:hi])
-            proj_files = {}
-            for name in projections:
-                if name in aliases:
-                    continue
-                proj_file = f"shard_{i:05d}.proj.{name}.npy"
-                checksums[proj_file] = _atomic_save(
-                    root, proj_file, projections[name][lo:hi])
-                proj_files[name] = proj_file
-            shard_specs.append({"start": lo, "stop": hi,
-                                "embeddings": emb_file,
-                                "projections": proj_files})
+        names = sorted(set(projections) - set(aliases))
+        shard_specs, data_files = [], []
+        for i, (lo, hi) in enumerate(shard_ranges(len(embeddings),
+                                                  num_shards)):
+            spec, files = _cut_shard(f"shard_{i:05d}", lo, hi, embeddings,
+                                     projections, names)
+            shard_specs.append(spec)
+            data_files += files
         sketch_spec = None
         if sketch_factors is not None:
             sketch_spec = {key: f"sketch.{key}.npy"
                            for key in ("mean", "std", "components")}
-            for key, file_name in sketch_spec.items():
-                checksums[file_name] = _atomic_save(root, file_name,
-                                                    sketch_factors[key])
+            data_files += [(name, sketch_factors[key])
+                           for key, name in sketch_spec.items()]
         manifest = {
             "format": STORE_FORMAT,
             "version": 0,
@@ -878,85 +872,11 @@ class ShardStore:
             "aliases": aliases,
             "shards": shard_specs,
             "sketch_factors": sketch_spec,
-            "checksums": checksums,
         }
-        payload = json.dumps(manifest, indent=2, sort_keys=True)
-        # The manifest is written last and renamed into place atomically:
-        # a crash at any earlier point leaves either no manifest or the
-        # previous complete one — never a manifest pointing at missing or
-        # partial shard files.  The retained version-0 snapshot lands
-        # first so the committed state is always rollback-complete.
-        _atomic_write_text(root, _retained_name(0), payload)
-        _atomic_write_text(root, MANIFEST_NAME, payload)
+        root = Path(path)
+        root.mkdir(parents=True, exist_ok=True)
+        for stale in [root / MANIFEST_NAME, root / JOURNAL_NAME,
+                      *root.glob("manifest.v*.json")]:
+            stale.unlink(missing_ok=True)
+        _commit(root, lambda _point: None, "save", manifest, data_files)
         return root / MANIFEST_NAME
-
-
-class MappedShardCatalog(ShardedEmbeddingCatalog):
-    """A :class:`ShardedEmbeddingCatalog` whose rows live on disk.
-
-    Shards are ``np.memmap`` views opened from a :class:`ShardStore`; the
-    inherited :meth:`screen` runs the shard plan over them, so exact-mode
-    results are bitwise-identical to the in-memory catalog while peak heap
-    memory stays O(block + k).  There is deliberately no materialized
-    global embedding matrix — :meth:`rows` gathers specific rows (the
-    approximate-mode rerank does), reading only the pages they live on.
-
-    The shard list and row count are snapshotted at construction, so a
-    catalog built from a store *pins* that store's version: the store can
-    append/compact/roll back underneath it and the pinned catalog keeps
-    screening the version it opened, bitwise-identically.
-    """
-
-    def __init__(self, store: ShardStore, block_size: int):
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        self._store = store
-        self._version = store.version
-        self._num_drugs = store.num_drugs
-        self._shards = [store.open_shard(i)
-                        for i in range(store.num_shards)]
-        self._starts = np.array([int(s.indices[0]) for s in self._shards],
-                                dtype=np.int64)
-        self.block_size = block_size
-
-    @property
-    def store(self) -> ShardStore:
-        return self._store
-
-    @property
-    def version(self) -> int:
-        """The store catalog version this catalog pinned when opened."""
-        return self._version
-
-    @property
-    def num_drugs(self) -> int:
-        return self._num_drugs
-
-    def rows(self, indices: Sequence[int] | np.ndarray
-             ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Gather ``(embeddings, projections)`` rows by global catalog index.
-
-        Rows come back as ordinary in-memory arrays (tiny — callers gather
-        shortlists, not catalogs), bitwise-equal to the in-memory catalog's
-        gather for the same indices.
-        """
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if indices.size and (indices.min() < 0
-                             or indices.max() >= self.num_drugs):
-            raise IndexError(f"row index out of catalog range "
-                             f"[0, {self.num_drugs})")
-        template = self._shards[0]
-        emb = np.empty((len(indices), self._store.embed_dim),
-                       dtype=template.embeddings.dtype)
-        proj = {name: np.empty((len(indices),) + matrix.shape[1:],
-                               dtype=matrix.dtype)
-                for name, matrix in template.projections.items()}
-        shard_of = np.searchsorted(self._starts, indices, side="right") - 1
-        for sid in np.unique(shard_of):
-            shard = self._shards[sid]
-            mask = shard_of == sid
-            local = indices[mask] - int(shard.indices[0])
-            emb[mask] = shard.embeddings[local]
-            for name, matrix in shard.projections.items():
-                proj[name][mask] = matrix[local]
-        return emb, proj

@@ -35,8 +35,8 @@ from repro.core import HyGNN, HyGNNConfig
 from repro.core.decoder import (KERNEL_KINDS, kernel_kind, make_kernel,
                                 make_screen_kernel)
 from repro.serving import (CircuitBreaker, DDIScreeningService,
-                           DeadlineExceeded, FaultInjected, FaultPolicy,
-                           FaultRule, FrameError, RemoteShardError,
+                           DeadlineExceeded, FaultPolicy, FaultRule,
+                           FrameError, RemoteShardError,
                            RemoteShardExecutor, ScreeningGateway,
                            ShardIntegrityError, ShardStore, ShardWorker,
                            corrupt_payload, exact_score_fn, recv_message,
@@ -622,18 +622,17 @@ class TestRemoteExecutor:
         with pytest.raises(ValueError, match="worker"):
             RemoteShardExecutor(store, [], local_fallback=False)
 
-    def test_client_side_fault_policy_drives_retries(self, served):
-        """The same policy plugs into the client, faulting requests before
-        any bytes move — the retry machinery is testable without a
-        misbehaving server."""
+    def test_worker_fault_policy_drives_retries(self, served):
+        """A worker-side policy reaches every client failure path — an
+        error reply, a dropped connection (EOF), a corrupt frame — and
+        each is retried on the one worker to the serial bits."""
         service, manifest = served
         serial = self._serial(served)
-        with ShardWorker(manifest) as worker:
-            policy = FaultPolicy([FaultRule("error", shard=0, attempt=0),
-                                  FaultRule("drop", shard=1, attempt=0),
-                                  FaultRule("corrupt", shard=2, attempt=0)])
-            service.connect_workers([worker], backoff_base_s=0.001,
-                                    fault_policy=policy)
+        policy = FaultPolicy([FaultRule("error", shard=0, attempt=0),
+                              FaultRule("drop", shard=1, attempt=0),
+                              FaultRule("corrupt", shard=2, attempt=0)])
+        with ShardWorker(manifest, fault_policy=policy) as worker:
+            service.connect_workers([worker], backoff_base_s=0.001)
             try:
                 got = _hits(service.screen_batch([0, 5, 9], top_k=6))
                 stats = dict(service.remote.stats)
@@ -645,6 +644,9 @@ class TestRemoteExecutor:
             (0, "error"), (1, "drop"), (2, "corrupt")}
         assert stats["corrupt_responses"] == 1
         assert stats["remote_failures"] == 3
+        # Faults are injected on the worker only.
+        with pytest.raises(TypeError):
+            RemoteShardExecutor(manifest, [], fault_policy=policy)
 
     def test_mismatched_worker_is_excluded_permanently(self, served,
                                                        tmp_path):

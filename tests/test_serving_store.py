@@ -20,8 +20,8 @@ from repro.core.decoder import MLPDecoder, make_screen_kernel
 from repro.nn import Tensor
 from repro.core.encoder import EncoderContext
 from repro.serving import (DDIScreeningService, EmbeddingCache,
-                           MappedShardCatalog, ShardedEmbeddingCatalog,
-                           ShardStore, exact_score_fn)
+                           ShardedEmbeddingCatalog, ShardStore, ShardWorker,
+                           exact_score_fn)
 
 
 def _corpus(n=36, seed=11):
@@ -170,7 +170,7 @@ class TestMappedCatalog:
         manifest = ShardStore.save(tmp_path / "s", emb, proj, num_shards=3)
         for block_size in (5, 13, 1000):
             mapped = ShardStore(manifest).catalog(block_size)
-            assert isinstance(mapped, MappedShardCatalog)
+            assert isinstance(mapped, ShardedEmbeddingCatalog)
             results = mapped.screen(score, 2, 9)
             for (ri, rs), (mi, ms) in zip(reference, results):
                 np.testing.assert_array_equal(mi, ri)
@@ -181,12 +181,18 @@ class TestMappedCatalog:
         manifest = ShardStore.save(tmp_path / "s", emb, proj, num_shards=5)
         mapped = ShardStore(manifest).catalog(8)
         reference = ShardedEmbeddingCatalog(emb, proj)
-        indices = np.array([63, 0, 17, 17, 40, 2])  # cross-shard, repeats
-        got_emb, got_proj = mapped.rows(indices)
-        want_emb, want_proj = reference.rows(indices)
-        np.testing.assert_array_equal(got_emb, want_emb)
-        for name in want_proj:
-            np.testing.assert_array_equal(got_proj[name], want_proj[name])
+        for indices in (np.array([63, 0, 17, 17, 40, 2]),  # cross-shard
+                        np.array([15, 13, 14, 14]),  # inside shard 1 only
+                        np.array([], dtype=np.int64)):
+            got = mapped.rows(indices)
+            want = reference.rows(indices)
+            assert set(got) == set(want) == set(proj)
+            for name in want:
+                assert got[name].shape == (len(indices),) \
+                    + proj[name].shape[1:]
+                np.testing.assert_array_equal(got[name], want[name])
+                np.testing.assert_array_equal(want[name],
+                                              proj[name][indices])
         with pytest.raises(IndexError):
             mapped.rows(np.array([64]))
 
@@ -345,6 +351,101 @@ class TestServiceStore:
                     != [h.probability for h in after])
         finally:
             model.encoder.node_embedding.data = original
+
+
+    def test_invalidate_detaches_the_store_at_once(self, setup, tmp_path):
+        service = _service(setup)
+        assert service.open_shards(service.save_shards(tmp_path / "store"),
+                                   strict=True)
+        service.invalidate()
+        assert service.shard_store is None
+        assert service.catalog_version is None
+
+    def test_failed_append_through_detaches_and_serves_in_memory(
+            self, setup, tmp_path, monkeypatch):
+        """A registration whose append-through fails still lands; the
+        store, which no longer holds every served row, detaches and its
+        workers stop."""
+        corpus = setup[0]
+        service = _service(setup, num_shards=2)
+        assert service.open_shards(service.save_shards(tmp_path / "store"),
+                                   strict=True)
+        try:
+            service.start_workers(1)
+            children = list(service._worker_processes)
+
+            def failing_append(self, *args, **kwargs):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(ShardStore, "append", failing_append)
+            index = service.register_drug(corpus[3], drug_id="late")
+        finally:
+            service.close()
+        assert service.num_drugs == index + 1
+        assert service.shard_store is None
+        assert service.catalog_version is None
+        assert service.remote is None
+        assert all(child.poll() is not None for child in children)
+        assert service.stats.appends_committed == 0
+        in_memory = _service(setup, num_shards=2)
+        in_memory.register_drug(corpus[3], drug_id="late")
+        assert _hits(service.screen_batch(["late"], top_k=8)) == \
+            _hits(in_memory.screen_batch(["late"], top_k=8))
+
+    def test_save_shards_to_a_backup_keeps_the_store_serving(self, setup,
+                                                             tmp_path):
+        """Saving a copy writes the served rows and leaves the attached
+        store, its workers and every screen untouched; the copy boots
+        into the same bits."""
+        corpus = setup[0]
+        service = _service(setup, num_shards=2, block_size=8)
+        assert service.open_shards(service.save_shards(tmp_path / "store"),
+                                   strict=True)
+        service.register_drugs(corpus[3:5], drug_ids=["late_0", "late_1"])
+        queries = [0, 9, "late_1"]
+        with ShardWorker(service.shard_store.path) as worker:
+            service.connect_workers([worker])
+            try:
+                exact = _hits(service.screen_batch(queries, top_k=6))
+                approx = _hits(service.screen_batch(queries, top_k=6,
+                                                    approx=True))
+                store, version = service.shard_store, service.catalog_version
+                remote_screens = service.stats.remote_screens
+                backup = service.save_shards(tmp_path / "backup")
+                assert service.shard_store is store
+                assert service.catalog_version == version
+                assert _hits(service.screen_batch(queries, top_k=6)) == exact
+                assert service.remote is not None
+                assert service.stats.remote_screens == \
+                    remote_screens + len(queries)
+                assert _hits(service.screen_batch(queries, top_k=6,
+                                                  approx=True)) == approx
+                context = service.save_serving_context(tmp_path / "context")
+                service.register_drug(corpus[5], drug_id="late_2")
+                assert service.catalog_version == version + 1
+            finally:
+                service.disconnect_workers()
+        cold = DDIScreeningService.from_store(backup, context)
+        assert cold.stats.corpus_encodes == 0
+        assert _hits(cold.screen_batch(queries, top_k=6)) == exact
+        assert _hits(cold.screen_batch(queries, top_k=6,
+                                       approx=True)) == approx
+
+    def test_save_shards_refuses_the_attached_store_directory(
+            self, setup, tmp_path):
+        corpus = setup[0]
+        service = _service(setup, num_shards=2)
+        root = tmp_path / "store"
+        assert service.open_shards(service.save_shards(root), strict=True)
+        service.register_drug(corpus[3], drug_id="late")
+        for target in (root, service.shard_store.root,
+                       tmp_path / "other" / ".." / "store"):
+            with pytest.raises(ValueError, match="compact_shards"):
+                service.save_shards(target)
+        assert service.catalog_version == 1
+        reopened = ShardStore(root)
+        assert reopened.version == 1 and reopened.versions() == [0, 1]
+        assert reopened.verify() == []
 
 
 # ---------------------------------------------------------------------------

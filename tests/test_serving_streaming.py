@@ -20,6 +20,7 @@ from repro.core.decoder import MLPDecoder, make_screen_kernel
 from repro.serving import (CrashPoint, CrashPolicy, DDIScreeningService,
                            ScreeningGateway, ShardedEmbeddingCatalog,
                            ShardStore, ShardWorker, exact_score_fn)
+from repro.serving import store as store_module
 from repro.serving.store import JOURNAL_NAME, MANIFEST_NAME, ORPHAN_DIR
 
 
@@ -277,6 +278,58 @@ class TestAppendOnly:
             _screen_store(store, decoder, queries),
             _screen_memory(decoder, full, queries))
         assert store.verify(strict=True) == []
+
+    def test_resave_starts_a_fresh_history(self, tmp_path):
+        """Saving into a directory that holds a store retains only the
+        new version 0: no old version can be rolled back into it."""
+        decoder, emb, proj = _synthetic(n=12)
+        store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
+                                           num_shards=2))
+        rng = np.random.default_rng(2)
+        for _ in range(6):
+            rows = rng.standard_normal((1, emb.shape[1]))
+            store.append(rows, store_projections(store, decoder, rows))
+        assert store.versions() == list(range(7))
+        fresh_decoder, fresh_emb, fresh_proj = _synthetic(seed=4, n=10)
+        fresh = ShardStore(ShardStore.save(tmp_path / "s", fresh_emb,
+                                           fresh_proj, num_shards=2))
+        assert fresh.versions() == [0]
+        assert fresh.version == 0 and fresh.num_drugs == 10
+        with pytest.raises(ValueError, match="not retained"):
+            fresh.rollback(3)
+        assert fresh.verify(strict=True) == []
+        fresh.gc(keep=1)  # the old lineage's segments are unreferenced
+        assert not list(fresh.root.glob("seg_*.npy"))
+        assert _same_screens(
+            _screen_store(fresh, fresh_decoder, fresh_emb[[0, 3]]),
+            _screen_memory(fresh_decoder, fresh_emb, fresh_emb[[0, 3]]))
+
+    def test_failed_save_leaves_a_journal_that_rolls_back(
+            self, tmp_path, monkeypatch):
+        """Version 0 commits through the journal too: a save that dies
+        part-way is rolled back by recovery, its files quarantined."""
+        _, emb, proj = _synthetic(n=12)
+        written = []
+        atomic_save = store_module._atomic_save
+
+        def failing_save(root, name, array):
+            if written:
+                raise OSError("disk full")
+            written.append(name)
+            return atomic_save(root, name, array)
+
+        monkeypatch.setattr(store_module, "_atomic_save", failing_save)
+        root = tmp_path / "s"
+        with pytest.raises(OSError, match="disk full"):
+            ShardStore.save(root, emb, proj, num_shards=2)
+        assert (root / JOURNAL_NAME).exists()
+        assert not (root / MANIFEST_NAME).exists()
+        report = ShardStore.recover_dir(root)
+        assert report["action"] == "roll-back"
+        assert report["orphans"] == written == ["shard_00000.emb.npy"]
+        assert (root / ORPHAN_DIR / written[0]).exists()
+        assert not (root / JOURNAL_NAME).exists()
+        assert not list(root.glob("manifest*.json"))
 
     def test_gc_refuses_with_unresolved_journal(self, tmp_path):
         _, emb, proj = _synthetic(n=8)
