@@ -220,12 +220,8 @@ class EmbeddingCache:
     def install(self, weights: tuple[np.ndarray, ...],
                 context: EncoderContext, embeddings: np.ndarray,
                 projections: dict[str, np.ndarray] | None = None) -> None:
-        self.weights = weights
-        self.context = context
-        self.embeddings = embeddings
-        self.projections = projections
-        self.sketch_factors = None
-        self.version = next(_VERSION_COUNTER)
+        """:meth:`adopt` the product of a corpus encode, and count it."""
+        self.adopt(weights, context, embeddings, projections)
         self.stats.corpus_encodes += 1
 
     def adopt(self, weights: tuple[np.ndarray, ...],
@@ -233,10 +229,10 @@ class EmbeddingCache:
               projections: dict[str, np.ndarray] | None = None) -> None:
         """Install content that was *not* produced by an encode pass.
 
-        Identical to :meth:`install` except ``corpus_encodes`` stays
-        untouched — the cold-boot path (``DDIScreeningService.from_store``)
-        adopts embeddings gathered from persisted shards, and its whole
-        point is that no corpus encode ever ran.
+        ``corpus_encodes`` stays untouched — the cold-boot path
+        (``DDIScreeningService.from_store``) adopts embeddings gathered
+        from persisted shards, and its whole point is that no corpus
+        encode ever ran.
         """
         self.weights = weights
         self.context = context

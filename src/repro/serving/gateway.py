@@ -339,26 +339,20 @@ class ScreeningGateway:
     def _flush(self, batch: list[_Request]) -> None:
         """Score one collected batch: expire, group, coalesce, fan out."""
         loop = asyncio.get_running_loop()
-        stats = self._service.stats
         now = loop.time()
-        live: list[_Request] = []
-        for request in batch:
-            if request.future.done():
-                continue  # caller cancelled while queued
-            if request.deadline is not None and now > request.deadline:
-                stats.gateway_expirations += 1
-                request.future.set_exception(DeadlineExceeded(
-                    "request deadline elapsed before its batch was scored"))
-                continue
-            live.append(request)
         groups: dict[tuple, list[_Request]] = {}
-        for request in live:
-            groups.setdefault(request.key, []).append(request)
+        for request in batch:
+            # Also skips a caller that cancelled while queued.
+            if not self._expire_if_late(
+                    request, now, "before its batch was scored"):
+                groups.setdefault(request.key, []).append(request)
         for key, group in groups.items():
             self._flush_group(loop, key, group)
 
-    def _expire_if_late(self, request: _Request, now: float) -> bool:
-        """Fail ``request`` with :class:`DeadlineExceeded` if it is overdue.
+    def _expire_if_late(self, request: _Request, now: float,
+                        when: str = "during scoring") -> bool:
+        """Fail ``request`` with :class:`DeadlineExceeded` if it is overdue
+        (True also when it is already done).
 
         Used both before and *after* scoring: a deadline is an end-to-end
         budget, so time burned inside a slow flush (a retrying remote
@@ -370,7 +364,7 @@ class ScreeningGateway:
         if request.deadline is not None and now > request.deadline:
             self._service.stats.gateway_expirations += 1
             request.future.set_exception(DeadlineExceeded(
-                "request deadline elapsed during scoring"))
+                f"request deadline elapsed {when}"))
             return True
         return False
 

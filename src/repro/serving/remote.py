@@ -6,28 +6,33 @@ client):
 
 - :class:`ShardWorker` — a stdlib-only ``socketserver`` TCP server that
   opens shards from a :class:`~repro.serving.store.ShardStore` manifest
-  and answers per-shard ``screen`` requests plus ``health``/``manifest``
-  probes.  Workers hold no model weights: a request carries an
+  and answers per-shard ``screen`` requests plus a ``health`` probe.
+  Workers hold no model weights: a request carries an
   :class:`~repro.serving.shards.ExactRequest` (the weight-free kernel
   *kind*, the query projections and the per-query padded budgets), and
   the worker answers it with
   :func:`~repro.serving.shards.screen_exact_shard`, the per-shard task
   the client's local fallback runs too; it composes the in-process
   engine's ``exact_score_fn`` and ``screen_shard``, so per-shard results
-  are bitwise-equal by construction.  Its ``fault_policy``
-  (:mod:`repro.serving.faults`) is where tests inject faults: each one
-  reaches the client over the wire, like a real one.
+  are bitwise-equal by construction.  Every ``screen`` request also
+  names the store it must be answered from — fingerprint, catalog
+  digest, row count, shard count and committed version — and the worker
+  answers only from that store: one that is behind reloads its manifest
+  once, and one that still differs replies ``stale`` with what it holds.
+  Its ``fault_policy`` (:mod:`repro.serving.faults`) is where tests
+  inject faults: each one reaches the client over the wire, like a real
+  one.
 - :class:`RemoteShardExecutor` — the client: it normalises a screen with
   :class:`~repro.serving.shards.ShardPlan`, fans the per-shard requests
   out over worker connections with per-request timeouts, bounded
   exponential backoff with deterministic jitter, failover to the next
   replica and a per-worker circuit breaker (consecutive-failure trip,
-  half-open probe recovery), checks every reply against the shard it
-  asked for, and — when every replica is down — runs the same per-shard
-  task on the locally mapped store.  The reduce is the engine's
-  :func:`~repro.serving.shards.finalize_screen`, so the merged results
-  are **bitwise-identical** to the serial in-memory engine under any
-  fault schedule.
+  half-open probe recovery), checks every reply against the store and
+  shard it asked for, and — when every replica is down — runs the same
+  per-shard task on the locally mapped store.  The reduce is the
+  engine's :func:`~repro.serving.shards.finalize_screen`, so the merged
+  results are **bitwise-identical** to the serial in-memory engine under
+  any fault schedule, and each shard costs one round trip.
 
 Wire format (no third-party deps): each frame is a 4-byte big-endian
 header length, a JSON header, and the raw C-order bytes of each array the
@@ -66,7 +71,7 @@ from .store import ShardStore
 
 _HEADER_STRUCT = struct.Struct("!I")
 _MAX_HEADER_BYTES = 64 * 1024 * 1024
-PROTOCOL = "repro.serving.remote/v1"
+PROTOCOL = "repro.serving.remote/v2"
 
 
 class FrameError(ConnectionError):
@@ -193,9 +198,28 @@ def recv_message(stream) -> tuple[dict, dict[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 # Worker
 # ---------------------------------------------------------------------------
+def _identity(manifest: dict) -> dict:
+    """The store a manifest commits, as every ``screen`` request names it."""
+    return {"fingerprint": manifest.get("fingerprint"),
+            "catalog_digest": manifest.get("catalog_digest"),
+            "num_drugs": int(manifest["num_drugs"]),
+            "num_shards": len(manifest["shards"]),
+            "version": int(manifest.get("version", 0))}
+
+
 class _WorkerServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
+    """Handler threads are not daemons, so ``server_close`` joins them;
+    the accept loop records each open connection for ``stop`` to end."""
+
     allow_reuse_address = True
+
+    def process_request(self, request, client_address) -> None:
+        self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        self.connections.discard(request)
+        super().shutdown_request(request)
 
 
 class _WorkerHandler(socketserver.StreamRequestHandler):
@@ -206,13 +230,9 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
         while True:
             try:
                 header, arrays = recv_message(self.connection)
+                if not worker.dispatch(self.connection, header, arrays):
+                    return
             except (EOFError, FrameError, OSError):
-                return
-            try:
-                keep_open = worker.dispatch(self.connection, header, arrays)
-            except OSError:
-                return
-            if not keep_open:
                 return
 
 
@@ -220,13 +240,16 @@ class ShardWorker:
     """Dumb shard-holding TCP server: opens a store, answers screen requests.
 
     The worker owns no model — only the persisted shard bytes.  Each
-    ``screen`` request names a shard, a kernel *kind*, per-query padded-k
-    budgets, and carries the precomputed query projections; the worker
-    answers with the very same
+    ``screen`` request names a store (see :func:`_identity`), a shard, a
+    kernel *kind* and per-query padded-k budgets, and carries the
+    precomputed query projections; the worker answers with the very same
     :func:`~repro.serving.shards.screen_exact_shard` the client's local
-    fallback runs.  ``health`` and ``manifest`` probes let clients check
-    liveness and prove the worker serves the same store (fingerprint +
-    catalog digest) before trusting its numbers.
+    fallback runs.  When the request names a newer committed version than
+    the worker holds, it reloads its manifest (under its lock, so one
+    screen causes one reload) and says so in its ``ok`` reply; when the
+    store it holds still differs from the one named, it replies
+    ``stale`` with its own identity instead of scores.  ``health`` reports
+    liveness, quarantined shards and the identity.
 
     ``fault_policy`` injects deterministic faults into ``screen``
     handling — the test and benchmark harness for the failover client,
@@ -245,6 +268,7 @@ class ShardWorker:
         self.fault_policy = fault_policy
         self._server = _WorkerServer((host, int(port)), _WorkerHandler)
         self._server.shard_worker = self  # type: ignore[attr-defined]
+        self._server.connections = set()  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
         self.requests_served = 0
@@ -270,12 +294,22 @@ class ShardWorker:
         self._server.serve_forever(poll_interval=0.05)
 
     def stop(self) -> None:
-        """Stop accepting and close the listening socket (idempotent)."""
-        self._server.shutdown()
-        self._server.server_close()
+        """Stop serving; returns once no handler thread runs (idempotent).
+
+        The accept loop stops first.  Then every open connection's read
+        side is shut, so a handler idle in ``recv`` returns at once and
+        one inside a request finishes it, and ``server_close`` joins them.
+        """
         if self._thread is not None:
-            self._thread.join(timeout=5.0)
+            self._server.shutdown()
+            self._thread.join()
             self._thread = None
+        for connection in list(self._server.connections):
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        self._server.server_close()
 
     def __enter__(self) -> "ShardWorker":
         return self.start()
@@ -285,53 +319,24 @@ class ShardWorker:
         return False
 
     # ------------------------------------------------------------------
-    def _manifest_meta(self) -> dict:
-        store = self.store
-        fingerprint = store.manifest.get("fingerprint")
-        return {"fingerprint": fingerprint,
-                "catalog_digest": store.catalog_digest,
-                "num_drugs": store.num_drugs,
-                "embed_dim": store.embed_dim,
-                "num_shards": store.num_shards,
-                "block_size": store.block_size,
-                "version": store.version,
-                "projections": store.projection_names}
-
     def dispatch(self, connection, header: dict,
                  arrays: dict[str, np.ndarray]) -> bool:
         """Answer one request frame; returns False to sever the connection."""
         op = header.get("op")
-        meta = header.get("meta") or {}
         with self._lock:
             self.requests_served += 1
         try:
             if op == "health":
-                send_message(connection, {
-                    "status": "ok",
-                    "meta": {"num_shards": self.store.num_shards,
-                             "num_drugs": self.store.num_drugs,
-                             "quarantined": sorted(self.store.quarantined),
-                             "requests_served": self.requests_served}})
-                return True
-            if op == "manifest":
-                send_message(connection, {"status": "ok",
-                                          "meta": self._manifest_meta()})
-                return True
-            if op == "reload":
-                # A client detected catalog version skew: re-read the
-                # manifest from disk (picking up any newer committed
-                # version) and report what we now serve.  Living-catalog
-                # appends land as new segment files, so existing mmaps
-                # stay valid across the reload.
-                self.store.reload()
-                send_message(connection, {"status": "ok",
-                                          "meta": self._manifest_meta()})
+                send_message(connection, {"status": "ok", "meta": {
+                    **_identity(self.store.manifest),
+                    "quarantined": sorted(self.store.quarantined),
+                    "requests_served": self.requests_served}})
                 return True
             if op == "screen":
-                return self._handle_screen(connection, meta, arrays)
-            send_message(connection, {
-                "status": "error",
-                "meta": {"message": f"unknown op {op!r}"}})
+                return self._handle_screen(connection,
+                                           header.get("meta") or {}, arrays)
+            send_message(connection, {"status": "error", "meta": {
+                "message": f"unknown op {op!r}"}})
             return True
         except Exception as error:  # noqa: BLE001 — forwarded to the client
             # Any server-side failure (a quarantined shard's
@@ -347,8 +352,8 @@ class ShardWorker:
 
     def _handle_screen(self, connection, meta: dict,
                        arrays: dict[str, np.ndarray]) -> bool:
-        shard = int(meta["shard"])
-        rule = (self.fault_policy.decide("screen", shard)
+        index = int(meta["shard"])
+        rule = (self.fault_policy.decide("screen", index)
                 if self.fault_policy is not None else None)
         if rule is not None:
             if rule.action == "delay":
@@ -360,19 +365,36 @@ class ShardWorker:
                     "status": "error",
                     "meta": {"message": "injected worker fault"}})
                 return True
+        named = meta.get("store")
+        with self._lock:
+            held = _identity(self.store.manifest)
+            reloaded = (held != named
+                        and int(named["version"]) > held["version"])
+            if reloaded:
+                # Mmaps of shards opened before stay valid: appends and
+                # compactions write new files.
+                self.store.reload()
+                held = _identity(self.store.manifest)
+            # Opened under the lock, so no other request's reload can
+            # slip in: the answer comes from the store this one named.
+            shard = self.store.open_shard(index) if held == named else None
+        if shard is None:
+            send_message(connection, {"status": "stale", "meta": held})
+            return True
         request = ExactRequest(
             kind=str(meta["kernel"]), query_proj=_unflatten_arrays(arrays),
             padded=tuple(int(k) for k in meta["padded"]),
             block_size=int(meta["block_size"]),
             two_sided=bool(meta["two_sided"]))
-        results = screen_exact_shard(self.store.open_shard(shard), request)
+        results = screen_exact_shard(shard, request)
         out = {}
         for qi, (indices, scores) in enumerate(results):
             out[f"idx_{qi}"] = indices
             out[f"sc_{qi}"] = scores
         send_message(connection,
                      {"status": "ok",
-                      "meta": {"shard": shard, "num_queries": len(results)}},
+                      "meta": {"shard": index, "num_queries": len(results),
+                               "reloaded": reloaded}},
                      out, _corrupt=rule is not None
                      and rule.action == "corrupt")
         return True
@@ -472,7 +494,6 @@ class _Endpoint:
 
     address: tuple[str, int]
     breaker: CircuitBreaker
-    validated: bool = False    # manifest probe passed
     mismatched: bool = False   # serves a different store — never use
 
 
@@ -493,10 +514,16 @@ class RemoteShardExecutor:
 
     Per-shard request routing: attempt ``a`` for shard ``s`` goes to
     worker ``(s + a) % len(workers)`` (skipping workers whose circuit
-    breaker is open or whose manifest mismatched), sleeping a bounded,
+    breaker is open or that serve another store), sleeping a bounded,
     deterministically-jittered exponential backoff between attempts.
     When every attempt fails and ``local_fallback`` is on, the shard is
     screened from the locally mapped store.
+
+    Every request names the store version :meth:`screen` read from the
+    attached store.  A ``stale`` reply is a failed attempt: from a
+    replica whose files lag (same fingerprint, older version) it is
+    retried; any other worker is excluded for good
+    (``stats["mismatched_workers"]``).
     """
 
     def __init__(self, store: ShardStore | str | Path,
@@ -604,81 +631,6 @@ class RemoteShardExecutor:
                 out[endpoint.address] = None
         return out
 
-    def invalidate_validation(self) -> None:
-        """Force every endpoint to re-prove its manifest before reuse.
-
-        Called by the service after a local store mutation (append /
-        compaction / rollback): workers still serve the previous
-        committed version, which the next validation heals via the
-        ``reload`` op instead of excluding them.  Permanently mismatched
-        endpoints (foreign stores) stay excluded.
-        """
-        for endpoint in self._endpoints:
-            endpoint.validated = False
-
-    def _meta_matches(self, meta: dict) -> bool:
-        local = self._store.manifest
-        return (meta.get("fingerprint") == local.get("fingerprint")
-                and meta.get("catalog_digest") == local.get("catalog_digest")
-                and meta.get("num_drugs") == self._store.num_drugs
-                and meta.get("num_shards") == self._store.num_shards
-                and meta.get("version", 0) == self._store.version)
-
-    def _validate_endpoint(self, endpoint: _Endpoint) -> None:
-        """Prove the worker serves *this* store before trusting its numbers.
-
-        Fingerprint, catalog digest, row count, and committed catalog
-        version must all match the local manifest.  Two very different
-        mismatches hide behind that check: a worker serving an **older
-        committed version of the same store** (the living catalog moved
-        under it) is asked to re-open via the ``reload`` op and
-        re-checked — a heal, not a failure — while a worker serving a
-        **foreign store** (different fingerprint after reload) is
-        excluded permanently (a breaker only heals transient faults — a
-        wrong catalog never heals).  A same-store worker that is *still*
-        skewed after reloading (e.g. replicated files lagging the
-        manifest) raises a retryable error so a later attempt can find
-        it caught up.  Raises on transport failure so the caller's retry
-        path handles it like any other failed attempt.
-        """
-        reply, _ = self._roundtrip(endpoint, {"op": "manifest"})
-        if reply.get("status") != "ok":
-            raise RemoteShardError(
-                f"worker {endpoint.address}: manifest probe failed: "
-                f"{(reply.get('meta') or {}).get('message')}")
-        meta = reply.get("meta") or {}
-        if not self._meta_matches(meta):
-            self._bump("version_skews")
-            reply, _ = self._roundtrip(endpoint, {"op": "reload"})
-            meta = (reply.get("meta") or {}) \
-                if reply.get("status") == "ok" else {}
-            if self._meta_matches(meta):
-                self._bump("worker_reloads")
-            elif (meta.get("fingerprint") == self._store.manifest.get(
-                    "fingerprint")
-                    and int(meta.get("version") or 0) < self._store.version):
-                # Same weights, still *behind* the local committed version
-                # after reloading — a replica whose files lag the catalog
-                # (e.g. mid-sync).  Transient: a later attempt may find it
-                # caught up.
-                raise RemoteShardError(
-                    f"worker {endpoint.address} is at catalog version "
-                    f"{meta.get('version')} (local {self._store.version}) "
-                    f"after reload — will retry")
-            else:
-                # Reload could not heal it and it is not lagging: the
-                # worker serves a genuinely different store.  Concurrent
-                # shard threads may validate the same endpoint at once;
-                # count each mismatched worker exactly once.
-                with self._stats_lock:
-                    if not endpoint.mismatched:
-                        endpoint.mismatched = True
-                        self.stats["mismatched_workers"] += 1
-                raise RemoteShardError(
-                    f"worker {endpoint.address} serves a different store "
-                    f"(fingerprint/digest/shape mismatch) — excluded")
-        endpoint.validated = True
-
     # ------------------------------------------------------------------
     # Screening
     # ------------------------------------------------------------------
@@ -700,18 +652,22 @@ class RemoteShardExecutor:
         request = ExactRequest(kernel_kind(kernel), query_proj, plan.padded,
                                int(block_size or self._store.block_size),
                                bool(two_sided))
-        shard_ids = range(self._store.num_shards)
-        if self._store.num_shards == 1 or not self._endpoints:
-            per_shard = [self._screen_shard(request, sid)
+        # One committed version names the store for every shard request.
+        manifest = self._store.manifest
+        shard_ids = range(len(manifest["shards"]))
+        if len(shard_ids) == 1 or not self._endpoints:
+            per_shard = [self._screen_shard(request, sid, manifest)
                          for sid in shard_ids]
         else:
             pool = self._ensure_threads()
             per_shard = list(pool.map(
-                lambda sid: self._screen_shard(request, sid), shard_ids))
+                lambda sid: self._screen_shard(request, sid, manifest),
+                shard_ids))
         return finalize_screen(per_shard, plan)
 
     # -- per-shard retry / failover loop --------------------------------
-    def _screen_shard(self, request: ExactRequest, shard: int
+    def _screen_shard(self, request: ExactRequest, shard: int,
+                      manifest: dict
                       ) -> list[tuple[np.ndarray, np.ndarray]]:
         last_error: Exception | None = None
         previous_address = None
@@ -726,7 +682,8 @@ class RemoteShardExecutor:
                 time.sleep(self._backoff_s(shard, attempt - 1))
             previous_address = endpoint.address
             try:
-                result = self._request_screen(endpoint, request, shard)
+                result = self._request_screen(endpoint, request, shard,
+                                              manifest)
             except FrameError as error:
                 self._bump("corrupt_responses")
                 last_error = self._record_failure(endpoint, error)
@@ -781,23 +738,46 @@ class RemoteShardExecutor:
         return base * (0.5 + 0.5 * token)
 
     def _request_screen(self, endpoint: _Endpoint, request: ExactRequest,
-                        shard: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        if not endpoint.validated:
-            self._validate_endpoint(endpoint)
-        self._bump("remote_requests")
+                        shard: int, manifest: dict
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+        store = _identity(manifest)
         header = {"op": "screen",
-                  "meta": {"shard": shard,
+                  "meta": {"store": store, "shard": shard,
                            "block_size": request.block_size,
                            "kernel": request.kind,
                            "two_sided": request.two_sided,
                            "num_queries": len(request.padded),
                            "padded": list(request.padded)}}
+        self._bump("remote_requests")
         reply, arrays = self._roundtrip(endpoint, header,
                                         _flatten_arrays(request.query_proj))
+        meta = reply.get("meta") or {}
+        if reply.get("status") == "stale":
+            self._bump("version_skews")
+            if (meta.get("fingerprint") == store["fingerprint"]
+                    and int(meta.get("version") or 0) < store["version"]):
+                # Same weights, still behind after reloading: a replica
+                # whose files lag.  A later attempt may find it caught up.
+                raise RemoteShardError(
+                    f"worker {endpoint.address} is at catalog version "
+                    f"{meta.get('version')} (local {store['version']}) — "
+                    f"will retry")
+            # Concurrent shard threads may meet the same worker at once;
+            # count each mismatched worker exactly once.
+            with self._stats_lock:
+                if not endpoint.mismatched:
+                    endpoint.mismatched = True
+                    self.stats["mismatched_workers"] += 1
+            raise RemoteShardError(
+                f"worker {endpoint.address} serves a different store "
+                f"(fingerprint/digest/shape mismatch) — excluded")
         if reply.get("status") != "ok":
             raise RemoteShardError(
                 f"worker {endpoint.address} failed shard {shard}: "
-                f"{(reply.get('meta') or {}).get('message')}")
+                f"{meta.get('message')}")
+        if meta.get("reloaded"):
+            self._bump("version_skews")
+            self._bump("worker_reloads")
         try:
             results = [(arrays[f"idx_{qi}"], arrays[f"sc_{qi}"])
                        for qi in range(len(request.padded))]
@@ -805,6 +785,6 @@ class RemoteShardExecutor:
             raise RemoteShardError(
                 f"worker {endpoint.address} reply is missing arrays "
                 f"({error})") from None
-        spec = self._store.manifest["shards"][shard]
+        spec = manifest["shards"][shard]
         return validate_shard_results(results, request.padded,
                                       int(spec["start"]), int(spec["stop"]))

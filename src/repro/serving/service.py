@@ -108,7 +108,8 @@ class DDIScreeningService:
     screening streams candidate blocks from disk instead of holding the
     catalog-sized working set in RAM; :meth:`start_workers` (local
     processes) or :meth:`connect_workers` (any host) then hands exact-mode
-    screens to shard workers that open the same store by manifest path.
+    screens to shard workers that open the same store by manifest path;
+    each request names the store version it must be answered from.
     All plans — in-memory, memory-mapped, shard workers — return
     bitwise-identical ``(indices, probabilities)``.
     """
@@ -542,11 +543,12 @@ class DDIScreeningService:
         *attached* shard store's manifest; ``kwargs`` configure the
         :class:`~repro.serving.remote.RemoteShardExecutor` (timeouts,
         retry budget, circuit breakers, local fallback).  Requires an
-        attached store — the local mmap copy is the failover of
-        last resort, and the store's manifest is what worker manifests
-        are validated against.  Screens stay bitwise-identical to the
-        in-process plans under any fault schedule.  Connecting replaces
-        any prior workers, stopping those :meth:`start_workers` launched.
+        attached store — the local mmap copy is the failover of last
+        resort, and each request names the store version a worker must
+        hold to answer (one that is behind reloads).  Screens stay
+        bitwise-identical to the in-process plans under any fault
+        schedule.  Connecting replaces any prior workers, stopping those
+        :meth:`start_workers` launched.
         """
         store = self._attached_store("connect_workers")
         self.disconnect_workers()
@@ -808,17 +810,6 @@ class DDIScreeningService:
         it)."""
         return self._store
 
-    def _invalidate_execution(self) -> None:
-        """Reset execution tiers after a store mutation.
-
-        Shard workers still serve the pre-mutation version: they are
-        re-validated on their next request, where version skew triggers a
-        worker-side re-open instead of exclusion.  The memoized catalog
-        engine is keyed on the store version and rebuilds by itself.
-        """
-        if self._remote is not None:
-            self._remote.invalidate_validation()
-
     def _append_to_store(self, rows: np.ndarray, projections: dict) -> None:
         """Carry freshly registered rows through to the attached store.
 
@@ -837,7 +828,6 @@ class DDIScreeningService:
             self._detach_store()
             return
         self._cache.stats.appends_committed += 1
-        self._invalidate_execution()
 
     def compact_shards(self, num_shards: int | None = None) -> int:
         """Merge accumulated append segments into full shards.
@@ -851,7 +841,6 @@ class DDIScreeningService:
         version = self._attached_store("compact_shards").compact(
             num_shards, catalog_digest=self._catalog_digest())
         self._cache.stats.compactions += 1
-        self._invalidate_execution()
         return version
 
     def rollback_catalog(self, version: int) -> int:
@@ -895,7 +884,6 @@ class DDIScreeningService:
             self._id_table = None
         self._cache.truncate_rows(n)
         self._cache.stats.rollbacks += 1
-        self._invalidate_execution()
         return new_version
 
     # ------------------------------------------------------------------

@@ -693,9 +693,10 @@ class ShardStore:
     def reload(self) -> int:
         """Re-read ``manifest.json`` from disk; returns the version.
 
-        What a remote worker does when the client reports version skew:
-        the committed manifest may have moved on since this process opened
-        it.  All memos are dropped — shard indices may have changed.
+        What a remote worker does when a request names a newer committed
+        version than it holds: the manifest may have moved on since this
+        process opened it.  All memos are dropped — shard indices may have
+        changed.
         """
         with self._mutate_lock:
             manifest = json.loads((self.root / MANIFEST_NAME).read_text())

@@ -31,6 +31,10 @@ def main(argv: list[str] | None = None) -> int:
         worker.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        # Handler threads are not daemons: end open connections, or an
+        # idle client would keep the process alive after Ctrl-C.
+        worker.stop()
     return 0
 
 

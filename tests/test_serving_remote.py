@@ -1,10 +1,11 @@
 """Tests for the fault-tolerant shard-worker screening tier: wire framing,
 deterministic fault injection (`repro.serving.faults`), the shard worker +
-failover client (`repro.serving.remote`), store integrity checksums and
-quarantine, cold boot (`DDIScreeningService.from_store`), local worker
-processes (`DDIScreeningService.start_workers`: worker death, weight
-updates, living-catalog reloads), and the gateway's failure/deadline
-accounting.
+failover client (`repro.serving.remote`), the store every screen request
+names (swapped workers, lagging replicas, one round trip per shard),
+store integrity checksums and quarantine, cold boot
+(`DDIScreeningService.from_store`), local worker processes
+(`DDIScreeningService.start_workers`: worker death, weight updates,
+living-catalog reloads), and the gateway's failure/deadline accounting.
 
 The contract under test everywhere: under **any** fault schedule — dropped
 connections, injected errors, corrupted frames, timeouts, dead workers,
@@ -14,6 +15,7 @@ serial in-memory engine or an explicit error; never silently wrong.
 
 import json
 import os
+import shutil
 import signal
 import socket
 import struct
@@ -41,8 +43,9 @@ from repro.serving import (CircuitBreaker, DDIScreeningService,
                            ShardIntegrityError, ShardStore, ShardWorker,
                            corrupt_payload, exact_score_fn, recv_message,
                            send_message)
+from repro.serving import remote as remote_module
 from repro.serving import store as store_module
-from repro.serving.remote import (PROTOCOL, _flatten_arrays,
+from repro.serving.remote import (PROTOCOL, _flatten_arrays, _identity,
                                   _unflatten_arrays)
 from repro.serving.shards import validate_shard_results
 
@@ -76,9 +79,9 @@ def _hits(results):
     return [[(h.index, h.probability) for h in hits] for hits in results]
 
 
-def _frame(specs, payload=b""):
+def _frame(specs, payload=b"", protocol=PROTOCOL):
     """A raw wire frame with a valid payload CRC and arbitrary specs."""
-    header = json.dumps({"protocol": PROTOCOL, "arrays": specs,
+    header = json.dumps({"protocol": protocol, "arrays": specs,
                          "crc32": zlib.crc32(payload)}).encode("utf-8")
     return struct.pack("!I", len(header)) + header + payload
 
@@ -207,6 +210,14 @@ class TestFraming:
             pipe.buffer.extend(frame)
             with pytest.raises(FrameError):
                 recv_message(pipe)
+
+    def test_v1_frame_is_refused(self):
+        """A peer on the first protocol, whose screen requests named no
+        store, is refused like a corrupt frame — the client fails over."""
+        pipe = _Pipe()
+        pipe.buffer.extend(_frame([], protocol="repro.serving.remote/v1"))
+        with pytest.raises(FrameError, match="protocol"):
+            recv_message(pipe)
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +377,22 @@ class TestShardWorker:
             assert meta["num_shards"] == 3
             assert meta["num_drugs"] == store.num_drugs
             assert meta["quarantined"] == []
+            # One probe shows an operator which store the worker serves.
+            assert {key: meta[key] for key in _identity(store.manifest)} \
+                == _identity(store.manifest)
 
     def test_unknown_op_is_structured_error(self, served):
+        """Unknown ops get an error reply — the manifest and reload ops
+        of the first protocol among them."""
         _, manifest = served
         with ShardWorker(manifest) as worker:
-            with socket.create_connection(worker.address, timeout=5) as sock:
-                send_message(sock, {"op": "nonsense"})
-                reply, _ = recv_message(sock)
-            assert reply["status"] == "error"
-            assert "nonsense" in reply["meta"]["message"]
+            for op in ("nonsense", "manifest", "reload"):
+                with socket.create_connection(worker.address,
+                                              timeout=5) as sock:
+                    send_message(sock, {"op": op})
+                    reply, _ = recv_message(sock)
+                assert reply["status"] == "error"
+                assert f"unknown op {op!r}" in reply["meta"]["message"]
 
     def test_worker_module_runs_without_runpy_warning(self):
         """The package never imports the entry module, so ``-m`` runs it
@@ -400,6 +418,7 @@ class TestShardWorker:
         with ShardWorker(manifest) as worker:
             with socket.create_connection(worker.address, timeout=5) as sock:
                 send_message(sock, {"op": "screen", "meta": {
+                    "store": _identity(store.manifest),
                     "shard": 1, "block_size": 8,
                     "kernel": kernel_kind(kernel), "two_sided": False,
                     "num_queries": 2, "padded": [4, 4]}},
@@ -412,6 +431,49 @@ class TestShardWorker:
         for qi, (idx, scores) in enumerate(expected):
             np.testing.assert_array_equal(arrays[f"idx_{qi}"], idx)
             np.testing.assert_array_equal(arrays[f"sc_{qi}"], scores)
+
+    def test_stop_returns_after_in_flight_requests(self, served,
+                                                   monkeypatch):
+        """A handler still inside a request when the worker stops finishes
+        it before ``stop()`` returns: no worker thread opens or
+        CRC-checks a shard afterwards."""
+        service, manifest = served
+        serial = _hits(service.screen_batch([0, 5, 9], top_k=6))
+        checked = []
+        crc32 = store_module._crc32_file
+
+        def counting_crc32(path):
+            checked.append(Path(path).name)
+            return crc32(path)
+
+        monkeypatch.setattr(store_module, "_crc32_file", counting_crc32)
+        policy = FaultPolicy.single("delay", shard=1, delay_s=0.4)
+        worker = ShardWorker(manifest, fault_policy=policy).start()
+        try:
+            service.connect_workers([worker], timeout_s=0.1, attempts=1,
+                                    backoff_base_s=0.0)
+            got = _hits(service.screen_batch([0, 5, 9], top_k=6))
+        finally:
+            service.disconnect_workers()
+            worker.stop()
+        stopped = len(checked)
+        time.sleep(0.5)  # past the delay the handler slept through
+        assert checked[stopped:] == []
+        assert got == serial
+
+    def test_stop_ends_idle_connections(self, served):
+        """An open connection with no request in flight does not hold
+        ``stop()``: its handler returns and the client sees EOF."""
+        _, manifest = served
+        worker = ShardWorker(manifest).start()
+        with socket.create_connection(worker.address, timeout=2) as idle:
+            send_message(idle, {"op": "health"})
+            recv_message(idle)  # a handler now waits on this connection
+            stopper = threading.Thread(target=worker.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=1.0)
+            assert not stopper.is_alive()
+            assert idle.recv(1) == b""
 
 
 class TestRemoteExecutor:
@@ -682,6 +744,136 @@ class TestRemoteExecutor:
             service.connect_workers([("127.0.0.1", 1)])
         with pytest.raises(RuntimeError, match="attached shard store"):
             service.start_workers(2)
+
+
+# ---------------------------------------------------------------------------
+# The store each screen request names
+# ---------------------------------------------------------------------------
+class TestStoreIdentity:
+    """Every screen request names the store version it must be answered
+    from, so a worker never answers from another one, and each shard
+    costs one round trip whatever the catalog did."""
+
+    def test_swapped_worker_is_excluded_at_its_first_reply(
+            self, setup, served, tmp_path):
+        """A worker replaced on an address that already answered, by one
+        serving a foreign store of the same shape (the same drugs under
+        the same weights, in another order), never gets its rows merged:
+        its first reply excludes it and local fallback answers."""
+        corpus, _, model, builder = setup
+        service, manifest = served
+        queries = [0, 5, 9]
+        serial = _hits(service.screen_batch(queries, top_k=6))
+        foreign = DDIScreeningService(
+            model, builder, corpus[::-1], num_shards=3).save_shards(
+                tmp_path / "foreign", num_shards=3)
+        assert ShardStore(foreign).num_drugs == service.num_drugs
+        original = ShardWorker(manifest).start()
+        address = original.address
+        try:
+            remote = service.connect_workers([address],
+                                             backoff_base_s=0.001)
+            assert _hits(service.screen_batch(queries, top_k=6)) == serial
+            assert remote.stats["local_fallbacks"] == 0
+            original.stop()
+            with ShardWorker(foreign, port=address[1]) as impostor:
+                got = _hits(service.screen_batch(queries, top_k=6))
+                sent = remote.stats["remote_requests"]
+                again = _hits(service.screen_batch(queries, top_k=6))
+                stats = dict(remote.stats)
+                states = remote.breaker_states()
+                answered = impostor.requests_served
+        finally:
+            service.disconnect_workers()
+            original.stop()
+        assert got == serial and again == serial
+        assert stats["mismatched_workers"] == 1
+        assert states == {address: "mismatched"}
+        assert answered <= 3                  # at most one per shard
+        assert stats["remote_requests"] == sent   # never asked again
+        assert stats["local_fallbacks"] == 6
+
+    def test_one_screen_frame_per_shard(self, setup, tmp_path,
+                                        monkeypatch):
+        """The first screen, and the first after an append, send only
+        screen frames, one per shard: the worker that is behind reloads
+        once, inside the request that found it behind."""
+        corpus, _, model, builder = setup
+        service = DDIScreeningService(model, builder, corpus, num_shards=2)
+        manifest = service.save_shards(tmp_path / "store")
+        assert service.open_shards(manifest, strict=True)
+        twin = DDIScreeningService(model, builder, corpus)
+        ops = []
+        send = remote_module.send_message
+
+        def spy(stream, header, *args, **kwargs):
+            if "op" in header:  # requests; replies carry a status
+                ops.append(header["op"])
+            return send(stream, header, *args, **kwargs)
+
+        monkeypatch.setattr(remote_module, "send_message", spy)
+        # The worker opens its own store instance, as another process
+        # would, so the append leaves it behind.
+        with ShardWorker(manifest) as worker:
+            remote = service.connect_workers([worker])
+            try:
+                assert _hits(service.screen_batch([0, 5], top_k=4)) == \
+                    _hits(twin.screen_batch([0, 5], top_k=4))
+                assert ops == ["screen"] * 2
+                ops.clear()
+                for target in (service, twin):
+                    target.register_drug("CCOCC", drug_id="late")
+                assert service.shard_store.num_shards == 3
+                assert _hits(service.screen_batch([0, "late"], top_k=4)) \
+                    == _hits(twin.screen_batch([0, "late"], top_k=4))
+                assert ops == ["screen"] * 3
+                stats = dict(remote.stats)
+            finally:
+                service.close()
+        assert stats["remote_requests"] == 5
+        assert stats["worker_reloads"] == 1
+        assert stats["version_skews"] == 1
+        assert stats["local_fallbacks"] == 0
+
+    def test_lagging_replica_is_retried_not_excluded(self, setup, tmp_path):
+        """A replica whose files lag the catalog answers ``stale`` with an
+        older version: the shards fall back, the worker stays in the
+        rotation, and once its files catch up it answers again."""
+        corpus, _, model, builder = setup
+        service = DDIScreeningService(model, builder, corpus, num_shards=2)
+        live, replica = tmp_path / "store", tmp_path / "replica"
+        assert service.open_shards(service.save_shards(live), strict=True)
+        shutil.copytree(live, replica)
+        twin = DDIScreeningService(model, builder, corpus)
+        queries = [0, 5, "late"]
+        with ShardWorker(replica) as worker:
+            remote = service.connect_workers([worker], backoff_base_s=0.001,
+                                             breaker_reset_s=0)
+            try:
+                for target in (service, twin):
+                    target.register_drug("CCOCC", drug_id="late")
+                expected = _hits(twin.screen_batch(queries, top_k=4))
+                assert _hits(service.screen_batch(queries, top_k=4)) == \
+                    expected
+                assert remote.stats["mismatched_workers"] == 0
+                assert remote.stats["version_skews"] >= 1
+                assert remote.stats["worker_reloads"] == 0
+                assert remote.breaker_states()[worker.address] != \
+                    "mismatched"
+                # The replica catches up: data files first, then the
+                # manifest that commits them.
+                for path in sorted(live.iterdir()):
+                    if path.is_file() and not (replica / path.name).exists():
+                        shutil.copy2(path, replica / path.name)
+                shutil.copy2(live / "manifest.json", replica / "manifest.json")
+                # The half-open breaker admits one probe at a time, so
+                # some shards may still fall back on this screen.
+                assert _hits(service.screen_batch(queries, top_k=4)) == \
+                    expected
+                assert remote.stats["worker_reloads"] >= 1
+                assert remote.stats["mismatched_workers"] == 0
+            finally:
+                service.close()
 
 
 # ---------------------------------------------------------------------------
