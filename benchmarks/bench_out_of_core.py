@@ -140,7 +140,9 @@ def build_synthetic_store(root: Path, num_rows: int, dim: int,
     embeddings = rng.standard_normal((num_rows, dim))
     projections = decoder.candidate_projections(embeddings)
     manifest = ShardStore.save(root, embeddings, projections,
-                               num_shards=num_shards, block_size=block_size)
+                               num_shards=num_shards, block_size=block_size,
+                               drug_ids=[f"drug_{i}" for i in range(num_rows)],
+                               smiles=["C"] * num_rows)
     queries = embeddings[rng.choice(num_rows, size=16, replace=False)]
     query_proj = decoder.project_queries(queries, sides=("as_left",))
     kernel = make_screen_kernel(decoder)

@@ -17,10 +17,10 @@ all three are always on, ``--quick`` only shrinks the catalog):
    shard, plus the every-replica-down case — merged results stay bitwise
    identical (retry / replica failover / local mmap fallback), and the
    executor's stats prove the faults actually fired.
-3. **Cold boot parity**: a service booted from the saved manifest +
-   serving context screens bitwise-identically to the warm service that
-   wrote them, with ``stats.corpus_encodes == 0`` (the corpus hypergraph
-   is never re-encoded).
+3. **Cold boot parity**: a service booted from the saved store + model
+   archive screens bitwise-identically to the warm service that wrote
+   them, with ``stats.corpus_encodes == 0`` (the corpus hypergraph is
+   never re-encoded).
 
 Timing rows (informational): serial vs remote latency (the transport tax
 on a small catalog), faulted-screen latency (the retry tax), and the cold
@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.chem import MoleculeGenerator
-from repro.core import HyGNN, HyGNNConfig
+from repro.core import HyGNN, HyGNNConfig, save_model
 from repro.serving import (DDIScreeningService, FaultPolicy, ShardWorker)
 
 
@@ -180,9 +180,10 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_shards: int,
         # ------------------------------------------------------------------
         # 3: cold boot parity (no corpus re-encode)
         # ------------------------------------------------------------------
-        context = service.save_serving_context(Path(tmp) / "context")
+        artifact = Path(tmp) / "model.npz"
+        save_model(artifact, model, builder)
         start = time.perf_counter()
-        cold = DDIScreeningService.from_store(manifest, context)
+        cold = DDIScreeningService.from_store(manifest, artifact)
         boot_s = time.perf_counter() - start
         cold_hits = _hits(cold.screen_batch(queries, top_k=top_k))
         if cold_hits != reference:
@@ -192,7 +193,7 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_shards: int,
             failures.append(
                 f"cold boot re-encoded the corpus "
                 f"({cold.stats.corpus_encodes} encodes; expected 0)")
-        print(f"cold boot: manifest + context -> bitwise screens, "
+        print(f"cold boot: store + model archive -> bitwise screens, "
               f"corpus_encodes={cold.stats.corpus_encodes} — "
               f"{'OK' if not failures else 'FAILED'}")
         service.close()
@@ -204,7 +205,7 @@ def run(num_drugs: int, hidden_dim: int, top_k: int, num_shards: int,
             f"{remote_s * 1e3:9.2f} ms",
         "faulted screen (1 injected fault, median)":
             f"{faulted_s * 1e3:9.2f} ms",
-        "cold boot (load context + attach store)":
+        "cold boot (load model + attach store)":
             f"{boot_s * 1e3:9.2f} ms",
     }
     return _report(failures, rows)

@@ -81,13 +81,20 @@ def _hits(results) -> list[list[tuple[int, float]]]:
 # ---------------------------------------------------------------------------
 # Gate 1: append cost independent of base catalog size; bytes untouched
 # ---------------------------------------------------------------------------
+def _drugs(count: int, start: int = 0) -> dict[str, list[str]]:
+    """Drug ids and SMILES for ``count`` synthetic rows."""
+    return {"drug_ids": [f"drug_{i}" for i in range(start, start + count)],
+            "smiles": ["C"] * count}
+
+
 def _build_store(path: Path, num_rows: int, dim: int, num_shards: int,
                  seed: int) -> tuple[ShardStore, float]:
     rng = np.random.default_rng(seed)
     embeddings = rng.standard_normal((num_rows, dim))
+    drugs = _drugs(num_rows)
     start = time.perf_counter()
     manifest = ShardStore.save(path, embeddings, num_shards=num_shards,
-                               block_size=1024)
+                               block_size=1024, **drugs)
     return ShardStore(manifest), time.perf_counter() - start
 
 
@@ -97,8 +104,9 @@ def _median_append(store: ShardStore, rows_per_append: int, dim: int,
     samples = []
     for _ in range(repeats):
         rows = rng.standard_normal((rows_per_append, dim))
+        drugs = _drugs(rows_per_append, store.num_drugs)
         start = time.perf_counter()
-        store.append(rows)
+        store.append(rows, **drugs)
         samples.append(time.perf_counter() - start)
     return statistics.median(samples)
 
@@ -359,10 +367,12 @@ def gate_crash_sweep(seed: int, failures: list[str]) -> dict:
         base = tmp / "base"
         ShardStore.save(base, embeddings,
                         decoder.candidate_projections(embeddings),
-                        num_shards=3, block_size=16, catalog_digest="v0")
+                        num_shards=3, block_size=16, catalog_digest="v0",
+                        **_drugs(len(embeddings)))
 
         def append(store):
-            store.append(extra, _store_projections(store, decoder, extra))
+            store.append(extra, _store_projections(store, decoder, extra),
+                         **_drugs(len(extra), len(embeddings)))
 
         # Recorder pass enumerates the complete crash surface.
         recorder_dir = tmp / "recorder"

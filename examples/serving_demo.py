@@ -6,10 +6,10 @@ the deployment story: the serving process never sees the training code, just
 the ``.npz`` weights+vocabulary bundle and the catalog SMILES.  The service
 encodes the catalog once, answers batched pair queries from cached
 embeddings, registers a brand-new drug without re-encoding anything, and
-screens it against the whole catalog.  Finally it persists a shard store
-plus serving context and restarts from them without a corpus encode;
-approximate screens return the same bits in memory, from the mapped store
-and after the restart.
+screens it against the whole catalog.  Finally it persists a shard store,
+registers a drug through it, and restarts from the store and the artifact
+without a corpus encode: exact and approximate screens, of the new drug
+too, return the same bits after the restart.
 
     python examples/serving_demo.py
 """
@@ -23,6 +23,13 @@ import numpy as np
 from repro.core import HyGNN, HyGNNConfig, Trainer, save_model
 from repro.data import balanced_pairs_and_labels, load_dataset, random_split
 from repro.serving import DDIScreeningService
+
+
+def _same_hits(a, b) -> bool:
+    """Bitwise equality of two screen_batch results."""
+    return all([(h.index, h.probability) for h in x]
+               == [(h.index, h.probability) for h in y]
+               for x, y in zip(a, b, strict=True))
 
 
 def main() -> None:
@@ -98,9 +105,7 @@ def main() -> None:
     start = time.perf_counter()
     singles = [sharded.screen(q, top_k=5) for q in queries]
     single_ms = (time.perf_counter() - start) * 1e3
-    assert all([(h.index, h.probability) for h in b]
-               == [(h.index, h.probability) for h in s]
-               for b, s in zip(batched, singles))  # bitwise-identical
+    assert _same_hits(batched, singles)  # bitwise-identical
     print(f"\nscreen_batch({len(queries)} queries, 4 shards, block=256): "
           f"{batch_ms:.1f} ms vs {single_ms:.1f} ms looped "
           f"({single_ms / batch_ms:.1f}x) — identical hits")
@@ -122,12 +127,8 @@ def main() -> None:
     sharded.start_workers(2)
     start_s = time.perf_counter() - start
     remote = sharded.screen_batch(queries, top_k=5)
-    assert all([(h.index, h.probability) for h in m]
-               == [(h.index, h.probability) for h in b]
-               for m, b in zip(mapped, batched))
-    assert all([(h.index, h.probability) for h in r]
-               == [(h.index, h.probability) for h in b]
-               for r, b in zip(remote, batched))
+    assert _same_hits(mapped, batched) and _same_hits(remote, batched)
+    assert _same_hits(approx_mapped, approx_memory)
     # A backup copy is written from the served rows while the workers
     # serve: the attached store, its catalog version and the workers stay.
     version = sharded.catalog_version
@@ -136,9 +137,7 @@ def main() -> None:
     again = sharded.screen_batch(queries, top_k=5)
     assert sharded.remote is not None and sharded.catalog_version == version
     assert sharded.stats.remote_screens == remote_screens + len(queries)
-    assert all([(h.index, h.probability) for h in a]
-               == [(h.index, h.probability) for h in b]
-               for a, b in zip(again, batched))
+    assert _same_hits(again, batched)
     sharded.close()  # stops the worker processes
     store_kib = sum(f.stat().st_size
                     for f in store_dir.iterdir()) / 1024
@@ -147,30 +146,31 @@ def main() -> None:
           f"all bitwise-identical (workers started in {start_s:.1f} s)")
 
     # ------------------------------------------------------------------
-    # Restart without re-encoding: the shard store plus a serving context
-    # (model archive, frozen encoder context, drug list) is a complete
-    # serving state.  from_store gathers the catalog rows from the shard
-    # files, so the restarted service answers with the same bits.
+    # Restart without re-encoding: the shard store is the one record of
+    # the catalog (rows, drug records, frozen encoder context) at every
+    # committed version.  A drug registered while it is attached is
+    # appended through as a new version, and the store plus the model
+    # artifact restart into the same bits, the new drug's screens too.
     # ------------------------------------------------------------------
-    context = sharded.save_serving_context(store_dir.parent / "context.npz")
+    sharded.register_drug(candidate, drug_id="CANDIDATE-001")
+    live_queries = queries + ["CANDIDATE-001"]
+    live_exact = sharded.screen_batch(live_queries, top_k=5)
+    live_approx = sharded.screen_batch(live_queries, top_k=5, approx=True)
     start = time.perf_counter()
-    restarted = DDIScreeningService.from_store(manifest, context)
+    restarted = DDIScreeningService.from_store(manifest, artifact)
     restart_ms = (time.perf_counter() - start) * 1e3
-    rebooted = restarted.screen_batch(queries, top_k=5)
-    approx_rebooted = restarted.screen_batch(queries, top_k=5, approx=True)
-    assert all([(h.index, h.probability) for h in r]
-               == [(h.index, h.probability) for h in b]
-               for r, b in zip(rebooted, batched))
-    for approx in (approx_mapped, approx_rebooted):
-        assert all([(h.index, h.probability) for h in a]
-                   == [(h.index, h.probability) for h in m]
-                   for a, m in zip(approx, approx_memory))
+    assert _same_hits(restarted.screen_batch(live_queries, top_k=5),
+                      live_exact)
+    assert _same_hits(restarted.screen_batch(live_queries, top_k=5,
+                                             approx=True), live_approx)
+    assert restarted.catalog_version == sharded.catalog_version == 1
     assert restarted.shard_store is not None
     assert restarted.stats.corpus_encodes == 0
-    print(f"\nrestarted from the store + serving context in "
-          f"{restart_ms:.0f} ms with no corpus encode; {len(rebooted)} "
-          f"exact and {len(approx_rebooted)} approximate screens "
-          f"bitwise-identical (approximate: in memory, mapped, restarted)")
+    print(f"\nregistered CANDIDATE-001 through the store (version "
+          f"{sharded.catalog_version}), then restarted from the store + "
+          f"artifact in {restart_ms:.0f} ms with no corpus encode; "
+          f"{len(live_queries)} exact and approximate screens, the new "
+          f"drug's included, bitwise-identical")
 
     print(f"\nservice stats: {service.stats.as_dict()}")
 

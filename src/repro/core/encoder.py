@@ -453,7 +453,7 @@ class ReversibleHyGNNEncoder(HyGNNEncoder):
 
         The context holds the F-half and G-half node features of every
         block, flattened in execution order — ``2 * len(blocks)`` entries —
-        so the serving cache's index-based save/load round-trips unchanged.
+        so the shard store's one-file-per-layer copy round-trips unchanged.
         """
         node_ids, edge_ids, partitions = self._resolve(
             node_ids, edge_ids, num_edges, partitions)

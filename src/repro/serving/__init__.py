@@ -31,8 +31,8 @@ to the serial engine under any fault schedule
 (:class:`~repro.serving.faults.FaultPolicy` drives them
 deterministically from the worker side in tests) — and
 :meth:`DDIScreeningService.from_store` cold-boots a full service from a
-CRC-verified store plus a serving-context bundle without re-encoding
-the corpus.
+CRC-verified store, the one record of the catalog, plus the model
+archive, without re-encoding the corpus.
 
 The catalog is *living*, not frozen: :class:`ShardStore` is a versioned,
 crash-consistent, append-only store — every mutation (append, compaction,

@@ -194,7 +194,8 @@ class EmbeddingCache:
     embeddings: np.ndarray | None = None  # (num_catalog_drugs, hidden_dim)
     projections: dict[str, np.ndarray] | None = None  # candidate precompute
     # Low-rank prefilter factors ({"mean", "std", "components"}) behind the
-    # projections' "sketch" rows; per (weights, catalog) version like them.
+    # "sketch" rows of the projections, or of the shard store the service
+    # serves from; per (weights, catalog) version like them.
     sketch_factors: dict[str, np.ndarray] | None = None
     version: int = 0                      # globally unique content token
     stats: ServiceStats = field(default_factory=ServiceStats)

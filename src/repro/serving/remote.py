@@ -521,8 +521,8 @@ class RemoteShardExecutor:
 
     Every request names the store version :meth:`screen` read from the
     attached store.  A ``stale`` reply is a failed attempt: from a
-    replica whose files lag (same fingerprint, older version) it is
-    retried; any other worker is excluded for good
+    replica whose files lag (it holds a version this store retains) it
+    is retried; any other worker is excluded for good
     (``stats["mismatched_workers"]``).
     """
 
@@ -754,10 +754,15 @@ class RemoteShardExecutor:
         meta = reply.get("meta") or {}
         if reply.get("status") == "stale":
             self._bump("version_skews")
-            if (meta.get("fingerprint") == store["fingerprint"]
-                    and int(meta.get("version") or 0) < store["version"]):
-                # Same weights, still behind after reloading: a replica
-                # whose files lag.  A later attempt may find it caught up.
+            try:
+                lagging = meta == _identity(
+                    self._store.manifest_for(int(meta["version"])))
+            except (KeyError, TypeError, ValueError, OSError):
+                lagging = False  # not a version this client retains
+            if lagging:
+                # It holds one of this store's committed versions, still
+                # after reloading: a replica whose files lag.  A later
+                # attempt may find it caught up.
                 raise RemoteShardError(
                     f"worker {endpoint.address} is at catalog version "
                     f"{meta.get('version')} (local {store['version']}) — "

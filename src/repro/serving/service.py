@@ -28,8 +28,6 @@ straight from a ``serialize.save_model`` artifact
 from __future__ import annotations
 
 import hashlib
-import io
-import json
 import operator
 import os
 import re
@@ -45,7 +43,7 @@ import numpy as np
 from ..core.decoder import make_screen_kernel
 from ..core.encoder import EncoderContext
 from ..core.model import HyGNN
-from ..core.serialize import load_model, save_model
+from ..core.serialize import load_model
 from ..hypergraph import DrugHypergraphBuilder, Hypergraph
 from ..nn import Tensor
 from ..nn.functional import stable_sigmoid
@@ -161,9 +159,6 @@ class DDIScreeningService:
         # every future registration — is computed against.
         self._corpus: Hypergraph = builder.transform(catalog_smiles)
         self._num_corpus = self._corpus.num_edges
-        # Incidence node ids of incrementally registered drugs, in
-        # registration order (needed to re-encode them after invalidation).
-        self._extension_nodes: list[np.ndarray] = []
         self._cache = EmbeddingCache()
         self.block_size = block_size
         self.num_shards = num_shards
@@ -174,10 +169,8 @@ class DDIScreeningService:
         self._catalog_engine: ShardedEmbeddingCatalog | None = None
         self._catalog_key: tuple | None = None
         # Out-of-core tier: an attached memory-mapped shard store, attached
-        # exactly while it holds the rows being served, and the prefilter
-        # sketch factors its sketch rows were made with.
+        # exactly while it holds the rows being served.
         self._store: ShardStore | None = None
-        self._store_sketch: dict[str, np.ndarray] | None = None
         # Shard-worker tier: a fault-tolerant client over shard workers
         # (see connect_workers), tied to the attached store's lifetime,
         # and the local worker processes start_workers launched for it.
@@ -186,9 +179,6 @@ class DDIScreeningService:
         # Weight-free screening kernel (scores from projections only);
         # shard workers rebuild the same kernel from its kind string.
         self._screen_kernel = None
-        # Sorted drug-id table for vectorized id -> index lookups; rebuilt
-        # lazily after registrations.
-        self._id_table: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -203,112 +193,50 @@ class DDIScreeningService:
                    **kwargs)
 
     # ------------------------------------------------------------------
-    # Cold boot: manifest + serving context, no corpus encode
+    # Cold boot: shard store + model archive, no corpus encode
     # ------------------------------------------------------------------
-    def save_serving_context(self, path: str | Path) -> Path:
-        """Persist everything :meth:`from_store` needs to cold-boot.
-
-        One ``.npz`` bundling the model + vocabulary archive
-        (``serialize.save_model``, embedded as bytes), the frozen encoder
-        context, the full drug list (registered extensions included, with
-        their incidence node ids), and the serving configuration.
-        Together with a :meth:`save_shards` manifest this is a complete
-        serving state: a fresh process can screen bitwise-identically to
-        this one without ever re-encoding the corpus.  The bundle lands
-        through a temp file and ``os.replace``, so a failed save leaves
-        any previous context at ``path`` intact.
-        """
-        self._ensure_fresh()
-        path = Path(path)
-        if path.suffix != ".npz":
-            path = path.with_name(path.name + ".npz")
-        buffer = io.BytesIO()
-        save_model(buffer, self._model, self._builder)
-        meta = {"smiles": self._smiles,
-                "drug_ids": self._drug_ids,
-                "num_corpus": int(self._num_corpus),
-                "precision": self._dtype.name,
-                "block_size": int(self.block_size),
-                "num_shards": int(self.num_shards)}
-        arrays = {
-            "meta_json": np.frombuffer(
-                json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-            "model_archive": np.frombuffer(buffer.getvalue(),
-                                           dtype=np.uint8),
-            "num_context_layers": np.asarray(
-                self._cache.context.num_layers),
-            "num_extension": np.asarray(len(self._extension_nodes)),
-        }
-        for index, layer in enumerate(self._cache.context.layer_node_feats):
-            arrays[f"context_layer_{index}"] = layer.data
-        for index, nodes in enumerate(self._extension_nodes):
-            arrays[f"extension_nodes_{index}"] = nodes
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)  # only left behind by a failure
-        return path
-
     @classmethod
-    def from_store(cls, manifest: str | Path, context: str | Path,
+    def from_store(cls, manifest: str | Path, model,
                    workers: list | None = None) -> "DDIScreeningService":
-        """Cold-boot a service from a shard store + serving context.
+        """Cold-boot a service from a shard store and a model archive.
 
-        ``manifest`` is a :meth:`save_shards` store, ``context`` a
-        :meth:`save_serving_context` bundle.  The store is opened once,
-        recovered, and checked against the context's model and drug list
-        (fingerprint, catalog digest, row count) before any row is read.
-        The catalog embeddings are then *gathered from the shard files*,
-        each CRC-checked once, and adopted into the cache, so the corpus
-        hypergraph is never re-encoded (``stats.corpus_encodes`` stays 0);
-        that same store is attached.  A torn or mismatched store raises
-        instead of serving wrong numbers.  Screening afterwards — exact
-        and approximate alike, the sketch factors read from the store — is
-        bitwise-identical to the warm service that wrote the artifacts.
+        ``manifest`` is a :meth:`save_shards` store, the one record of the
+        catalog at every committed version; ``model`` the
+        ``serialize.save_model`` archive (a path or a binary file object)
+        of the weights it was saved under.  The store is opened once and
+        recovered; its drug records and frozen encoder context are read,
+        and it is checked against the loaded weights and those records
+        (fingerprint, catalog digest, row count).  The catalog embeddings
+        are then *gathered from the shard files*, each CRC-checked once,
+        and adopted into the cache, so the corpus is never re-encoded
+        (``stats.corpus_encodes`` stays 0); that same store is attached.
+        A torn or mismatched store raises instead of serving wrong
+        numbers.  Screens afterwards, exact and approximate, are
+        bitwise-identical to the service that committed the version.
 
         ``workers`` (addresses for :meth:`connect_workers`) wires the
-        shard-worker tier in the same call; the block size, shard count
-        and precision come from the serving context.
+        shard-worker tier in the same call; the precision and block size
+        come from the store.
         """
-        context_path = Path(context)
-        with np.load(context_path, allow_pickle=False) as archive:
-            meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-            model, builder = load_model(
-                io.BytesIO(bytes(archive["model_archive"])))
-            num_layers = int(archive["num_context_layers"])
-            encoder_context = EncoderContext(layer_node_feats=tuple(
-                Tensor(archive[f"context_layer_{index}"])
-                for index in range(num_layers)))
-            extension_nodes = [
-                np.asarray(archive[f"extension_nodes_{index}"],
-                           dtype=np.int64)
-                for index in range(int(archive["num_extension"]))]
-        smiles = [str(s) for s in meta["smiles"]]
-        drug_ids = [str(d) for d in meta["drug_ids"]]
-        num_corpus = int(meta["num_corpus"])
-        if not 1 <= num_corpus <= len(smiles) or \
-                len(smiles) - num_corpus != len(extension_nodes):
-            raise ValueError("serving context is inconsistent: corpus/"
-                             "extension bookkeeping does not add up")
-        service = cls(model, builder, smiles[:num_corpus],
-                      drug_ids=drug_ids[:num_corpus],
-                      precision=meta["precision"],
-                      block_size=int(meta["block_size"]),
-                      num_shards=int(meta["num_shards"]))
-        # Registered extensions restore as bookkeeping only — their
-        # embedding rows come from the store like everyone else's.
-        service._smiles = smiles
-        service._drug_ids = drug_ids
-        service._index = {d: i for i, d in enumerate(drug_ids)}
-        service._extension_nodes = extension_nodes
-
         # The cold-booting process owns the store directory: recover from
         # any torn state (journal roll-forward/back, orphan quarantine)
         # before trusting the manifest.
         store = ShardStore(manifest, recover=True)
+        drug_ids, smiles = store.drugs()
+        saved = store.encoder_context()
+        if saved is None:
+            raise ValueError(f"{store.path} holds no encoder context; "
+                             f"re-save the catalog with save_shards()")
+        layers, num_corpus = saved
+        model, builder = load_model(model)
+        service = cls(model, builder, smiles[:num_corpus],
+                      drug_ids=drug_ids[:num_corpus],
+                      block_size=store.block_size,
+                      precision=store.manifest["dtype"])
+        # Registered drugs restore as records only — their embedding rows
+        # come from the store like everyone else's.
+        service._smiles, service._drug_ids = smiles, drug_ids
+        service._index = {d: i for i, d in enumerate(drug_ids)}
         sketch = service._check_store(store)
         # Gathering materialises the rows in RAM (the cache needs them for
         # pair scoring and registrations).  open_shard CRC-checks each
@@ -317,7 +245,9 @@ class DDIScreeningService:
             [np.asarray(store.open_shard(index).embeddings)
              for index in range(store.num_shards)],
             axis=0).astype(service._dtype, copy=False)
-        service._cache.adopt(service._weights(), encoder_context, embeddings)
+        context = EncoderContext(
+            layer_node_feats=tuple(Tensor(layer) for layer in layers))
+        service._cache.adopt(service._weights(), context, embeddings)
         service._attach_store(store, sketch)
         if workers:
             service.connect_workers(workers)
@@ -401,7 +331,8 @@ class DDIScreeningService:
         JSON manifest carrying the weight fingerprint and catalog digest.
         Returns the manifest path (pass it — or the directory — to
         :meth:`open_shards`, possibly from a different process or host).
-        The store plus a :meth:`save_serving_context` bundle is what
+        The drug records and the frozen encoder context are stored too,
+        so the store plus the ``save_model`` archive is what
         :meth:`from_store` restarts from.  When the decoder prefilters
         through a sketch (MLP), the sketch rows and factors are stored
         too, so the store serves approximate screens on a cold open.
@@ -418,9 +349,8 @@ class DDIScreeningService:
         self._ensure_fresh()
         embeddings = self._cache.embeddings
         if self._store is None:
-            sketch = (self._sketch_factors()
-                      if getattr(self._model.decoder, "needs_sketch", False)
-                      else None)
+            if getattr(self._model.decoder, "needs_sketch", False):
+                self._sketch_factors()  # adds the sketch rows
             projections = self._cache.ensure_projections(self._model.decoder)
         else:
             if Path(path).resolve() == self._store.root.resolve():
@@ -430,14 +360,17 @@ class DDIScreeningService:
             projections = self._catalog().rows(np.arange(self.num_drugs))
             projections.update(dict.fromkeys(self._store.manifest["aliases"],
                                              embeddings))
-            sketch = self._store_sketch
         return ShardStore.save(
             path, embeddings, projections,
             num_shards=num_shards or self.num_shards,
             block_size=block_size or self.block_size,
             fingerprint=self._fingerprint(),
             catalog_digest=self._catalog_digest(),
-            sketch_factors=sketch)
+            sketch_factors=self._cache.sketch_factors,
+            drug_ids=self._drug_ids, smiles=self._smiles,
+            context=[layer.data
+                     for layer in self._cache.context.layer_node_feats],
+            num_corpus=self._num_corpus)
 
     def open_shards(self, path: str | Path, strict: bool = False) -> bool:
         """Attach a :meth:`save_shards` store memory-mapped; True on success.
@@ -503,19 +436,17 @@ class DDIScreeningService:
         # The store now serves the candidate side, so the in-memory copy
         # of the dominant working set — the precomputed projections, ~4x
         # the embedding matrix for the MLP decoder — is redundant: release
-        # it, and the sketch factors with it.  While the store is attached
-        # nothing recomputes them; after a detach ensure_projections does,
-        # lazily.  The embeddings and encoder context stay resident —
-        # queries and registrations need them — so the service's floor is
-        # O(N·d), not O(N·d·5).
+        # it, and adopt the sketch factors the store's rows were made with.
+        # While the store is attached nothing recomputes the projections;
+        # after a detach ensure_projections does, lazily.  The embeddings
+        # and encoder context stay resident — queries and registrations
+        # need them — so the service's floor is O(N·d), not O(N·d·5).
         self._cache.projections = None
-        self._cache.sketch_factors = None
+        self._cache.sketch_factors = sketch
         self._store = store
-        self._store_sketch = sketch
 
     def _detach_store(self) -> None:
         self._store = None
-        self._store_sketch = None
         # Shard workers serve the detached store's shards — their answers
         # no longer describe the cache.
         self.disconnect_workers()
@@ -650,9 +581,12 @@ class DDIScreeningService:
                 partitions=(self._corpus.node_partition,
                             self._corpus.edge_partition))
             rows = [corpus_emb.numpy()]
-            if self._extension_nodes:
-                rows.append(self._encode_subset(context,
-                                                self._extension_nodes))
+            registered = self._smiles[self._num_corpus:]
+            if registered:
+                # Registered drugs re-encode from their SMILES; one that
+                # was allowed without a known token keeps its zero row.
+                rows.append(self._encode_subset(context, self._tokenize_batch(
+                    registered, allow_unknown=True)))
             # Detach the context: serving never backprops, and a live context
             # would pin the whole corpus-encode autograd graph in the cache.
             detached = EncoderContext(layer_node_feats=tuple(
@@ -710,9 +644,6 @@ class DDIScreeningService:
                 sorted(self._vocab[t] for t in tokens), dtype=np.int64))
         return node_lists
 
-    def _tokenize(self, smiles: str, allow_unknown: bool) -> np.ndarray:
-        return self._tokenize_batch([smiles], allow_unknown)[0]
-
     def register_drug(self, smiles: str, drug_id: str | None = None,
                       allow_unknown: bool = False) -> int:
         """Add one new drug to the catalog; O(its substructures), not O(catalog).
@@ -753,8 +684,7 @@ class DDIScreeningService:
         self._ensure_fresh()
         rows = self._encode_subset(self._cache.context, node_lists)
         projections = self._model.candidate_projections(rows)
-        factors = (self._store_sketch if self._store is not None
-                   else self._cache.sketch_factors)
+        factors = self._cache.sketch_factors
         if factors is not None:
             # Sketch the new rows with the served catalog's *existing*
             # factors so the append stays O(new rows) and keeps the
@@ -767,14 +697,12 @@ class DDIScreeningService:
         self._cache.append_rows(rows, projections=projections)
 
         indices = []
-        for smiles, drug_id, nodes in zip(smiles_list, drug_ids, node_lists):
+        for smiles, drug_id in zip(smiles_list, drug_ids):
             index = len(self._smiles)
             self._smiles.append(smiles)
             self._drug_ids.append(drug_id)
             self._index[drug_id] = index
-            self._extension_nodes.append(nodes)
             indices.append(index)
-        self._id_table = None
         if self._store is not None:
             self._append_to_store(rows, projections)
         stats = self._cache.stats
@@ -811,7 +739,8 @@ class DDIScreeningService:
         return self._store
 
     def _append_to_store(self, rows: np.ndarray, projections: dict) -> None:
-        """Carry freshly registered rows through to the attached store.
+        """Carry freshly registered rows, with their drug records, through
+        to the attached store.
 
         Called with the in-memory registration already complete.  Any
         append failure degrades gracefully — the store, which no longer
@@ -821,9 +750,11 @@ class DDIScreeningService:
         and deliberately flies past the degradation path, like a real
         ``kill -9`` would.)
         """
+        new = slice(-len(rows), None)
         try:
-            self._store.append(rows, projections,
-                               catalog_digest=self._catalog_digest())
+            self._store.append(
+                rows, projections, catalog_digest=self._catalog_digest(),
+                drug_ids=self._drug_ids[new], smiles=self._smiles[new])
         except Exception:
             self._detach_store()
             return
@@ -880,8 +811,6 @@ class DDIScreeningService:
                 del self._index[drug_id]
             del self._smiles[n:]
             del self._drug_ids[n:]
-            del self._extension_nodes[n - self._num_corpus:]
-            self._id_table = None
         self._cache.truncate_rows(n)
         self._cache.stats.rollbacks += 1
         return new_version
@@ -927,39 +856,16 @@ class DDIScreeningService:
         return self._model.predict_proba_from_embeddings(
             self._cache.embeddings, pairs)
 
-    def _ids_to_indices(self, ids: np.ndarray) -> np.ndarray:
-        """Vectorized drug-id -> catalog-index lookup via a sorted table."""
-        if self._id_table is None:
-            table = np.asarray(self._drug_ids)
-            order = np.argsort(table).astype(np.int64)
-            self._id_table = (table[order], order)
-        sorted_ids, perm = self._id_table
-        # searchsorted needs a common dtype; widen to the longer string
-        # type — whichever side is narrower, so a query id longer than
-        # every catalog id is compared in full, never truncated.
-        if ids.dtype < sorted_ids.dtype:
-            ids = ids.astype(sorted_ids.dtype)
-        elif sorted_ids.dtype < ids.dtype:
-            sorted_ids = sorted_ids.astype(ids.dtype)
-        pos = np.searchsorted(sorted_ids, ids)
-        safe = np.minimum(pos, len(sorted_ids) - 1)
-        bad = sorted_ids[safe] != ids
-        if bad.any():
-            where = np.argwhere(bad)[0]
-            raise KeyError(f"unknown drug id {ids[tuple(where)]!r} "
-                           f"(pair {int(where[0])})")
-        return perm[safe]
-
     def score_id_pairs(self, id_pairs: list[tuple[str, str]]) -> np.ndarray:
-        """Like :meth:`score_pairs`, addressing drugs by their ids.
-
-        One vectorized vocabulary lookup for the whole batch — no per-pair
-        Python dictionary walk.
-        """
-        ids = np.asarray(id_pairs, dtype=str).reshape(-1, 2)
-        if not ids.size:
-            return np.zeros(0, dtype=np.float64)
-        return self.score_pairs(self._ids_to_indices(ids))
+        """Like :meth:`score_pairs`, addressing drugs by their ids."""
+        for number, pair in enumerate(id_pairs):
+            for drug_id in pair:
+                if drug_id not in self._index:
+                    raise KeyError(
+                        f"unknown drug id {drug_id!r} (pair {number})")
+        return self.score_pairs(np.array(
+            [[self._index[a], self._index[b]] for a, b in id_pairs],
+            dtype=np.int64).reshape(-1, 2))
 
     # -- blockwise / sharded screening engine ---------------------------
     # (The pre-engine ``_rank`` — a full stable argsort over dense catalog
@@ -1085,12 +991,12 @@ class DDIScreeningService:
         """
         if self._store is None:
             return self._cache.ensure_sketch(self._model.decoder)
-        if self._store_sketch is None:
+        if self._cache.sketch_factors is None:
             raise ValueError(
                 "attached shard store carries no prefilter sketch for "
                 f"{type(self._model.decoder).__name__}; re-save it with "
                 "save_shards() to serve approximate mode")
-        return self._store_sketch
+        return self._cache.sketch_factors
 
     def _approx_screen(self, kernel, query_proj, plan: ShardPlan,
                        oversample, two_sided):

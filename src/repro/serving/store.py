@@ -1,8 +1,9 @@
 """Memory-mapped shard store: the out-of-core tier of the screening engine.
 
-A :class:`ShardStore` persists a sharded catalog — the embedding rows plus
-the precomputed candidate-side decoder projections of each shard — as raw
-``.npy`` files next to a JSON manifest:
+A :class:`ShardStore` persists a sharded catalog — the embedding rows, the
+precomputed candidate-side decoder projections and the ``[drug id,
+smiles]`` records of each shard — as raw ``.npy`` files next to a JSON
+manifest; it is the one on-disk record of the catalog:
 
     store_dir/
       manifest.json                     # the current committed version
@@ -10,6 +11,8 @@ the precomputed candidate-side decoder projections of each shard — as raw
       manifest.v000001.json             # retained snapshot of version 1
       shard_00000.emb.npy               # shard 0's embedding rows
       shard_00000.proj.<name>.npy       # shard 0's rows of projection <name>
+      shard_00000.drugs.npy             # shard 0's rows' drug records
+      context.0.npy                     # encoder-context layer 0
       seg_v000001.emb.npy               # rows appended by version 1
       journal.json                      # write-ahead intent (only mid-commit)
       orphans/                          # quarantined debris from dead writers
@@ -22,7 +25,8 @@ embedding matrix itself (the dot decoder's identity precompute), which are
 never written twice — and a CRC32 for every file it references; a
 manifest without one is refused.  The shard files hold the exact serving
 rows, so one store serves exact screens, approximate screens (the MLP
-sketch rows and factors are stored too), appends and cold boots.
+sketch rows and factors are stored too), appends and cold boots (the
+frozen encoder context and the corpus size are stored with version 0).
 
 The store is a **versioned, crash-consistent, append-only catalog**:
 
@@ -152,10 +156,11 @@ def _retained_name(version: int) -> str:
 
 
 def _manifest_files(manifest: dict) -> set[str]:
-    """Every data file a manifest references (shards + sketch factors)."""
-    names: set[str] = set()
+    """Every data file a manifest references (shards, drug records,
+    encoder context and sketch factors)."""
+    names: set[str] = set(manifest.get("context") or [])
     for spec in manifest.get("shards", []):
-        names.add(spec["embeddings"])
+        names.update([spec["embeddings"], spec["drugs"]])
         names.update(spec["projections"].values())
     sketch = manifest.get("sketch_factors") or {}
     names.update(sketch.values())
@@ -164,20 +169,29 @@ def _manifest_files(manifest: dict) -> set[str]:
 
 def _cut_shard(stem: str, lo: int, hi: int, embeddings: np.ndarray,
                projections: dict[str, np.ndarray], names: list[str],
-               offset: int = 0) -> tuple[dict, list[tuple[str, np.ndarray]]]:
-    """Name and cut one shard's files: rows ``[lo, hi)`` of the embeddings
-    and of each named projection, as ``{stem}.emb.npy`` and
-    ``{stem}.proj.{name}.npy``.
+               drug_ids: list[str], smiles: list[str], offset: int = 0
+               ) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """Name and cut one shard's files: rows ``[lo, hi)`` of the embeddings,
+    of each named projection and of the drugs, as ``{stem}.emb.npy``,
+    ``{stem}.proj.{name}.npy`` and ``{stem}.drugs.npy`` (the ``[drug id,
+    smiles]`` records as UTF-8 JSON in a ``uint8`` array: nothing is
+    pickled).
 
     Returns the shard's manifest entry, covering global rows ``[offset +
     lo, offset + hi)``, and its ``(file name, rows)`` list for
     :func:`_commit`.
     """
     spec = {"start": offset + lo, "stop": offset + hi,
-            "embeddings": f"{stem}.emb.npy",
+            "embeddings": f"{stem}.emb.npy", "drugs": f"{stem}.drugs.npy",
             "projections": {name: f"{stem}.proj.{name}.npy"
                             for name in names}}
-    files = [(spec["embeddings"], embeddings[lo:hi])]
+    # A record at a time: thousands of per-row containers alive at once
+    # would move the cyclic GC's next collections for the whole process.
+    records = ",".join(json.dumps([drug_id, text]) for drug_id, text
+                       in zip(drug_ids[lo:hi], smiles[lo:hi]))
+    files = [(spec["embeddings"], embeddings[lo:hi]),
+             (spec["drugs"], np.frombuffer(f"[{records}]".encode("utf-8"),
+                                           dtype=np.uint8))]
     files += [(spec["projections"][name], np.asarray(projections[name])[lo:hi])
               for name in names]
     return spec, files
@@ -290,6 +304,13 @@ class ShardStore:
             raise ValueError(
                 f"{self.path} is an int8 quantized store, which is no "
                 f"longer supported; re-save the catalog with save_shards()")
+        shards = manifest.get("shards")
+        if isinstance(shards, list) and any(
+                isinstance(spec, dict) and "drugs" not in spec
+                for spec in shards):
+            raise ValueError(
+                f"{self.path} records no drug list (an earlier release wrote "
+                f"it); re-save the catalog with save_shards()")
         missing = {"num_drugs", "embed_dim", "block_size", "projections",
                    "aliases", "shards", "checksums"} - manifest.keys()
         if missing:
@@ -385,22 +406,49 @@ class ShardStore:
         return [spec["embeddings"], *spec["projections"].values()]
 
     def verify(self, strict: bool = False) -> list[int]:
-        """CRC-check every shard file now; returns the bad shard indices.
+        """CRC-check every file of this version now; returns the bad shard
+        indices.
 
-        Bad shards are quarantined.  ``strict=True`` raises
-        :class:`ShardIntegrityError` on the first mismatch instead of
-        collecting.
+        A shard whose rows or drug records fail is quarantined.
+        ``strict=True`` raises :class:`ShardIntegrityError` on the first
+        mismatch instead of collecting; a torn encoder-context or sketch
+        factor file always raises, as no shard can route around it.
         """
         bad: list[int] = []
-        for index in range(self.num_shards):
+        for index, spec in enumerate(self.manifest["shards"]):
             try:
-                for name in self._shard_files(index):
+                for name in [*self._shard_files(index), spec["drugs"]]:
                     self._verify_file(name, shard=index)
             except ShardIntegrityError:
                 if strict:
                     raise
                 bad.append(index)
+        sketch = self.manifest.get("sketch_factors") or {}
+        for name in [*(self.manifest.get("context") or []), *sketch.values()]:
+            self._verify_file(name)
         return bad
+
+    def drugs(self) -> tuple[list[str], list[str]]:
+        """The drug id and SMILES of every row, CRC-checked."""
+        drug_ids, smiles = [], []
+        for index, spec in enumerate(self.manifest["shards"]):
+            self._verify_file(spec["drugs"], shard=index)
+            payload = self._load(spec["drugs"], mmap_mode=None).tobytes()
+            records = json.loads(payload.decode("utf-8"))
+            drug_ids += [record[0] for record in records]
+            smiles += [record[1] for record in records]
+        return drug_ids, smiles
+
+    def encoder_context(self) -> tuple[list[np.ndarray], int] | None:
+        """The frozen encoder-context layers saved with version 0
+        (CRC-checked) and the number of corpus drugs, or None."""
+        names = self.manifest.get("context")
+        if not names:
+            return None
+        for name in names:
+            self._verify_file(name)
+        return ([self._load(name, mmap_mode=None) for name in names],
+                int(self.manifest["num_corpus"]))
 
     def sketch_factors(self) -> dict[str, np.ndarray] | None:
         """The prefilter sketch factors saved with the store, if any."""
@@ -461,9 +509,9 @@ class ShardStore:
         self._opened[index] = shard
         return shard
 
-    def _load(self, name: str) -> np.ndarray:
+    def _load(self, name: str, mmap_mode: str | None = "r") -> np.ndarray:
         with _NPY_LOAD_LOCK:
-            return np.load(self.root / name, mmap_mode="r")
+            return np.load(self.root / name, mmap_mode=mmap_mode)
 
     def catalog(self, block_size: int | None = None
                 ) -> ShardedEmbeddingCatalog:
@@ -486,8 +534,10 @@ class ShardStore:
 
     def append(self, embeddings: np.ndarray,
                projections: dict[str, np.ndarray] | None = None,
-               catalog_digest: str | None = None) -> int:
-        """Append new catalog rows as a segment; returns the new version.
+               catalog_digest: str | None = None, *,
+               drug_ids: list[str], smiles: list[str]) -> int:
+        """Append new catalog rows, with one drug id and SMILES each, as a
+        segment; returns the new version.
 
         The segment lands as fresh ``seg_v{N}.*.npy`` files — no existing
         shard file is rewritten or even reopened, so the cost of an append
@@ -502,6 +552,10 @@ class ShardStore:
             if embeddings.ndim != 2 or not len(embeddings):
                 raise ValueError("appended embeddings must be a non-empty "
                                  "(rows, dim) matrix")
+            if not len(drug_ids) == len(smiles) == len(embeddings):
+                raise ValueError(
+                    f"{len(drug_ids)} drug ids and {len(smiles)} SMILES "
+                    f"for {len(embeddings)} appended rows")
             if embeddings.shape[1] != self._embed_dim:
                 raise ValueError(
                     f"appended rows have dim {embeddings.shape[1]}, store "
@@ -530,7 +584,7 @@ class ShardStore:
             new_version = self.version + 1
             spec, data_files = _cut_shard(
                 f"seg_v{new_version:06d}", 0, len(embeddings), embeddings,
-                projections, sorted(expected - aliases),
+                projections, sorted(expected - aliases), drug_ids, smiles,
                 offset=self._num_drugs)
             new_manifest = self._copy_manifest()
             new_manifest["version"] = new_version
@@ -578,11 +632,13 @@ class ShardStore:
             embeddings = np.concatenate(emb_parts, axis=0)
             merged = {name: np.concatenate(parts, axis=0)
                       for name, parts in proj_parts.items()}
+            drug_ids, smiles = self.drugs()
             new_version = self.version + 1
             shard_specs, data_files = [], []
             for i, (lo, hi) in enumerate(ranges):
                 spec, files = _cut_shard(f"seg_v{new_version:06d}_{i:05d}",
-                                         lo, hi, embeddings, merged, names)
+                                         lo, hi, embeddings, merged, names,
+                                         drug_ids, smiles)
                 shard_specs.append(spec)
                 data_files += files
             new_manifest = self._copy_manifest()
@@ -810,7 +866,10 @@ class ShardStore:
              num_shards: int = 1, block_size: int = 1024,
              fingerprint: str | None = None,
              catalog_digest: str | None = None,
-             sketch_factors: dict[str, np.ndarray] | None = None) -> Path:
+             sketch_factors: dict[str, np.ndarray] | None = None, *,
+             drug_ids: list[str], smiles: list[str],
+             context: list[np.ndarray] | None = None,
+             num_corpus: int | None = None) -> Path:
         """Write a shard store under directory ``path``; returns the manifest.
 
         Rows are split at :func:`~repro.serving.shards.shard_ranges`, the
@@ -821,6 +880,10 @@ class ShardStore:
         MLP prefilter's ``{"mean", "std", "components"}``) are written
         alongside the ``"sketch"`` projection rows, so the store serves
         approximate screens on a cold open without the original cache.
+        ``drug_ids`` and ``smiles`` hold one entry per row;
+        ``context`` (the frozen encoder-context layers) and ``num_corpus``
+        (how many leading rows are the corpus) are what a cold boot
+        encodes registrations against.
 
         Version 0 is committed through the same journal as every later
         version, every file with its CRC32, and its manifest is retained
@@ -833,6 +896,9 @@ class ShardStore:
         if embeddings.ndim != 2 or not len(embeddings):
             raise ValueError("embeddings must be a non-empty "
                              "(num_drugs, dim) matrix")
+        if not len(drug_ids) == len(smiles) == len(embeddings):
+            raise ValueError(f"{len(drug_ids)} drug ids and {len(smiles)} "
+                             f"SMILES for {len(embeddings)} catalog rows")
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         projections = dict(projections or {})
@@ -851,7 +917,7 @@ class ShardStore:
         for i, (lo, hi) in enumerate(shard_ranges(len(embeddings),
                                                   num_shards)):
             spec, files = _cut_shard(f"shard_{i:05d}", lo, hi, embeddings,
-                                     projections, names)
+                                     projections, names, drug_ids, smiles)
             shard_specs.append(spec)
             data_files += files
         sketch_spec = None
@@ -860,6 +926,10 @@ class ShardStore:
                            for key in ("mean", "std", "components")}
             data_files += [(name, sketch_factors[key])
                            for key, name in sketch_spec.items()]
+        context_names = None
+        if context is not None:
+            context_names = [f"context.{i}.npy" for i in range(len(context))]
+            data_files += list(zip(context_names, context))
         manifest = {
             "format": STORE_FORMAT,
             "version": 0,
@@ -873,6 +943,8 @@ class ShardStore:
             "aliases": aliases,
             "shards": shard_specs,
             "sketch_factors": sketch_spec,
+            "context": context_names,
+            "num_corpus": num_corpus,
         }
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)

@@ -128,6 +128,37 @@ class TestPersistence:
         assert (restored_builder.drug_token_sets([novel])
                 == builder.drug_token_sets([novel]))
 
+    def test_load_never_unpickles(self, tmp_path):
+        """Format 1 kept the vocabulary in pickled object arrays: such an
+        archive is refused before any object in it is unpickled."""
+        import json
+        from dataclasses import asdict
+
+        class Unpickles:
+            def __reduce__(self):  # unpickling creates ``marker``
+                return open, (str(marker), "w")
+
+        dataset = load_dataset("twosides", scale=0.06, seed=0)
+        config = HyGNNConfig(method="kmer", parameter=5, epochs=1,
+                             embed_dim=16, hidden_dim=16)
+        model, _, builder = HyGNN.for_corpus(dataset.smiles, config)
+        marker, path = tmp_path / "unpickled", tmp_path / "model.npz"
+        meta = {"format_version": 1, "config": asdict(model.config),
+                "builder": {"method": "kmer", "parameter": 5},
+                "num_substructures": model.encoder.num_substructures}
+        vocab = builder.vocabulary
+        tokens = np.array([Unpickles(), *list(vocab)[1:]], dtype=object)
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(),
+                                              dtype=np.uint8),
+                 vocab_tokens=tokens,
+                 vocab_indices=np.array(list(vocab.values())),
+                 espf_merges=np.array([], dtype=object),
+                 **{f"param:{name}": value
+                    for name, value in model.state_dict().items()})
+        with pytest.raises(ValueError, match="format 1"):
+            load_model(path)
+        assert not marker.exists()
+
     def test_load_rejects_future_format(self, tmp_path):
         import json
         path = tmp_path / "bad.npz"

@@ -201,15 +201,24 @@ class TestIncrementalRegistration:
         # Full rebuild: a fresh service (cold cache) registering the same
         # drugs in one batch.  Per-edge results are independent, so batch
         # size only perturbs BLAS summation order (ULP-level).
+        # "@@@@" has no known substructure: registered anyway, its row is
+        # zero.
+        one_by_one.register_drug("@@@@", drug_id="junk", allow_unknown=True)
         rebuilt = DDIScreeningService(model, builder, corpus)
-        rebuilt.register_drugs(new_drugs, drug_ids=["n0", "n1", "n2"])
+        rebuilt.register_drugs(new_drugs + ["@@@@"],
+                               drug_ids=["n0", "n1", "n2", "junk"],
+                               allow_unknown=True)
         np.testing.assert_allclose(one_by_one.embeddings, rebuilt.embeddings,
                                    rtol=0, atol=1e-12)
-        # A forced in-place rebuild re-encodes the extensions from their
-        # stored incidence in one batch — bitwise equal to the batch path.
-        one_by_one.refresh(force=True)
-        np.testing.assert_array_equal(one_by_one.embeddings,
-                                      rebuilt.embeddings)
+        # A forced in-place rebuild re-encodes the registered drugs from
+        # their SMILES in one batch — bitwise equal to the batch path —
+        # and the drug with no known substructure keeps its zero row.
+        batch = rebuilt.embeddings.copy()
+        for service in (one_by_one, rebuilt):
+            service.refresh(force=True)
+            np.testing.assert_array_equal(service.embeddings, batch)
+            np.testing.assert_array_equal(service.embeddings[-1],
+                                          np.zeros(batch.shape[1]))
         pairs = np.array([[len(corpus), 0], [len(corpus) + 2, 5]])
         np.testing.assert_allclose(one_by_one.score_pairs(pairs),
                                    rebuilt.score_pairs(pairs),
@@ -453,17 +462,18 @@ class TestServingBugSweep:
 
     def test_id_lookup_widens_both_sides(self, service):
         ids = service._drug_ids
-        # A query id longer than every catalog id forces the *table* to
-        # widen (the query array's string dtype is the wider one).
+        # A query id longer than every catalog id is compared in full,
+        # never truncated to a catalog id's length.
         long_id = max(ids, key=len) + "_longer_than_any_catalog_id"
         with pytest.raises(KeyError, match="unknown drug id"):
             service.score_id_pairs([(ids[0], long_id)])
-        # Valid ids still resolve when the query array is artificially
-        # wider than the catalog table.
+        # Valid ids still resolve from a string array wider than any
+        # catalog id.
         wide = np.asarray([[ids[0], ids[1]]], dtype="<U128")
         np.testing.assert_array_equal(
-            service._ids_to_indices(wide).reshape(-1),
-            [service.index_of(ids[0]), service.index_of(ids[1])])
+            service.score_id_pairs(wide),
+            service.score_pairs([[service.index_of(ids[0]),
+                                  service.index_of(ids[1])]]))
 
     def test_id_lookup_mixed_batch_names_the_unknown(self, service):
         ids = service._drug_ids

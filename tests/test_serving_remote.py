@@ -33,7 +33,7 @@ import pytest
 
 import repro
 from repro.chem import MoleculeGenerator
-from repro.core import HyGNN, HyGNNConfig
+from repro.core import HyGNN, HyGNNConfig, save_model
 from repro.core.decoder import (KERNEL_KINDS, kernel_kind, make_kernel,
                                 make_screen_kernel)
 from repro.serving import (CircuitBreaker, DDIScreeningService,
@@ -77,6 +77,12 @@ def served(setup, tmp_path_factory):
 
 def _hits(results):
     return [[(h.index, h.probability) for h in hits] for hits in results]
+
+
+def _drugs(count):
+    """Drug ids and SMILES for ``count`` synthetic rows."""
+    return {"drug_ids": [f"drug_{i}" for i in range(count)],
+            "smiles": ["C" * (1 + i % 4) for i in range(count)]}
 
 
 def _frame(specs, payload=b"", protocol=PROTOCOL):
@@ -719,7 +725,8 @@ class TestRemoteExecutor:
         foreign = ShardStore.save(
             tmp_path / "foreign", rng.standard_normal(
                 (store.num_drugs, store.embed_dim)),
-            num_shards=3, catalog_digest="someone-else")
+            num_shards=3, catalog_digest="someone-else",
+            **_drugs(store.num_drugs))
         with ShardWorker(foreign) as bad, ShardWorker(manifest) as good:
             service.connect_workers([bad, good], backoff_base_s=0.001)
             try:
@@ -835,6 +842,40 @@ class TestStoreIdentity:
         assert stats["version_skews"] == 1
         assert stats["local_fallbacks"] == 0
 
+    def test_worker_on_another_catalog_is_excluded(self, setup, tmp_path):
+        """A worker on another catalog saved under the same weights is no
+        lagging replica, although it holds an older version: once this
+        store has moved past version 0 it is excluded at its first reply
+        and later screens send it nothing."""
+        corpus, _, model, builder = setup
+        service = DDIScreeningService(model, builder, corpus, num_shards=2)
+        assert service.open_shards(service.save_shards(tmp_path / "store"),
+                                   strict=True)
+        twin = DDIScreeningService(model, builder, corpus)
+        for target in (service, twin):
+            target.register_drug("CCOCC", drug_id="late")
+        other = DDIScreeningService(model, builder, corpus[:20]).save_shards(
+            tmp_path / "other", num_shards=2)
+        queries = [0, 5, "late"]
+        expected = _hits(twin.screen_batch(queries, top_k=4))
+        with ShardWorker(other) as worker:
+            remote = service.connect_workers([worker], attempts=1,
+                                             breaker_reset_s=0.05)
+            try:
+                first = _hits(service.screen_batch(queries, top_k=4))
+                sent = remote.stats["remote_requests"]
+                later = [_hits(service.screen_batch(queries, top_k=4))
+                         for _ in range(19)]
+                stats = dict(remote.stats)
+            finally:
+                service.close()
+        assert first == expected
+        assert all(hits == expected for hits in later)
+        assert stats["mismatched_workers"] == 1
+        assert 1 <= sent <= 3                      # one per shard at most
+        assert stats["remote_requests"] == sent    # never asked again
+        assert stats["breaker_trips"] == 0
+
     def test_lagging_replica_is_retried_not_excluded(self, setup, tmp_path):
         """A replica whose files lag the catalog answers ``stale`` with an
         older version: the shards fall back, the worker stays in the
@@ -885,7 +926,7 @@ class TestStoreIntegrity:
         emb = rng.standard_normal((n, 6))
         return ShardStore.save(tmp_path / "store", emb,
                                {"emb": emb}, num_shards=shards,
-                               block_size=8)
+                               block_size=8, **_drugs(n))
 
     def test_manifest_records_checksums_and_no_temp_files(self, tmp_path):
         manifest = self._store(tmp_path)
@@ -936,6 +977,21 @@ class TestStoreIntegrity:
             with pytest.raises(ValueError, match="checksum"):
                 ShardStore(manifest)
 
+    def test_verify_covers_records_and_context_open_shard_does_not(
+            self, served, tmp_path):
+        """A worker reads only rows: ``open_shard`` never reads a drug
+        record or encoder-context file, while ``verify`` checks both."""
+        _, manifest = served
+        root = tmp_path / "store"
+        shutil.copytree(manifest.parent, root)
+        _corrupt_file_tail(root / "shard_00001.drugs.npy")
+        store = ShardStore(root)
+        store.open_shard(1)
+        assert store.verify() == [1]
+        _corrupt_file_tail(root / "context.0.npy")
+        with pytest.raises(ShardIntegrityError):
+            ShardStore(root).verify()
+
     def test_worker_reports_quarantined_shard_as_error(self, tmp_path,
                                                        served):
         service, _ = served
@@ -966,9 +1022,10 @@ class TestColdBoot:
         warm.register_drug("CCNCC", drug_id="late_2")
         root = tmp_path_factory.mktemp("coldboot")
         manifest = warm.save_shards(root / "store", num_shards=3)
-        context = warm.save_serving_context(root / "context")
-        cold = DDIScreeningService.from_store(manifest, context)
-        return warm, cold, manifest, context
+        artifact = root / "model.npz"
+        save_model(artifact, model, builder)
+        cold = DDIScreeningService.from_store(manifest, artifact)
+        return warm, cold, manifest, artifact
 
     def test_no_corpus_encode_and_bitwise_screens(self, booted):
         warm, cold, _, _ = booted
@@ -980,10 +1037,10 @@ class TestColdBoot:
         assert cold.stats.corpus_encodes == 0
 
     def test_cold_boot_serves_remote_workers(self, booted):
-        warm, _, manifest, context = booted
+        warm, _, manifest, artifact = booted
         with ShardWorker(manifest) as worker:
             cold = DDIScreeningService.from_store(
-                manifest, context, workers=[worker])
+                manifest, artifact, workers=[worker])
             try:
                 assert _hits(cold.screen_batch([0, 4], top_k=5)) == \
                     _hits(warm.screen_batch([0, 4], top_k=5))
@@ -994,18 +1051,20 @@ class TestColdBoot:
 
     def test_corrupt_store_fails_the_boot(self, booted, tmp_path):
         import shutil
-        warm, _, manifest, context = booted
-        root = tmp_path / "torn"
-        shutil.copytree(manifest.parent, root)
-        _corrupt_file_tail(root / "shard_00001.emb.npy")
-        with pytest.raises(ShardIntegrityError):
-            DDIScreeningService.from_store(root, context)
+        warm, _, manifest, artifact = booted
+        for victim in ("shard_00001.emb.npy", "shard_00001.drugs.npy",
+                       "context.0.npy"):
+            root = tmp_path / victim
+            shutil.copytree(manifest.parent, root)
+            _corrupt_file_tail(root / victim)
+            with pytest.raises(ShardIntegrityError):
+                DDIScreeningService.from_store(root, artifact)
 
     def test_quantized_store_rejected(self, booted, tmp_path):
         """A manifest with the ``quantization`` field earlier releases
         wrote for int8 stores is refused everywhere a store is opened."""
         import shutil
-        _, _, manifest, context = booted
+        _, _, manifest, artifact = booted
         root = tmp_path / "int8"
         shutil.copytree(manifest.parent, root)
         spec = json.loads((root / "manifest.json").read_text())
@@ -1018,12 +1077,33 @@ class TestColdBoot:
         with pytest.raises(ValueError, match="save_shards"):
             ShardStore(root)
         # A service the store's rows otherwise match still refuses it.
-        service = DDIScreeningService.from_store(manifest, context)
+        service = DDIScreeningService.from_store(manifest, artifact)
         assert not service.open_shards(root)
         with pytest.raises(ValueError, match="save_shards"):
             service.open_shards(root, strict=True)
         with pytest.raises(ValueError, match="save_shards"):
-            DDIScreeningService.from_store(root, context)
+            DDIScreeningService.from_store(root, artifact)
+
+    def test_store_without_drug_records_rejected(self, booted, tmp_path):
+        """A manifest whose shards carry no drug records (what earlier
+        releases wrote) is refused everywhere a store is opened."""
+        import shutil
+        _, _, manifest, artifact = booted
+        root = tmp_path / "legacy"
+        shutil.copytree(manifest.parent, root)
+        spec = json.loads((root / "manifest.json").read_text())
+        for shard in spec["shards"]:
+            del spec["checksums"][shard.pop("drugs")]
+        (root / "manifest.json").write_text(json.dumps(spec))
+        for open_store in (ShardStore, ShardWorker,
+                           lambda path: DDIScreeningService.from_store(
+                               path, artifact)):
+            with pytest.raises(ValueError, match="save_shards"):
+                open_store(root)
+        service = DDIScreeningService.from_store(manifest, artifact)
+        assert not service.open_shards(root)
+        with pytest.raises(ValueError, match="save_shards"):
+            service.open_shards(root, strict=True)
 
     def test_wrong_model_fingerprint_rejected(self, booted, tmp_path):
         warm, _, manifest, _ = booted
@@ -1031,16 +1111,16 @@ class TestColdBoot:
         config = HyGNNConfig(parameter=4, embed_dim=12, hidden_dim=12,
                              seed=77)
         model, _, builder = HyGNN.for_corpus(other_corpus, config)
-        other = DDIScreeningService(model, builder, other_corpus)
-        foreign_context = other.save_serving_context(tmp_path / "foreign")
-        with pytest.raises(ValueError):
-            DDIScreeningService.from_store(manifest, foreign_context)
+        foreign = tmp_path / "foreign.npz"
+        save_model(foreign, model, builder)
+        with pytest.raises(ValueError, match="fingerprint"):
+            DDIScreeningService.from_store(manifest, foreign)
 
     def test_store_opened_and_verified_once(self, booted, monkeypatch):
         """The boot plus the first exact and approximate screens open one
         ShardStore, recover it once and CRC-check each of its files once,
         and answer with the warm service's bits."""
-        warm, _, manifest, context = booted
+        warm, _, manifest, artifact = booted
         queries = [0, 7, "late_1"]
         expected = [_hits(warm.screen_batch(queries, top_k=5, approx=approx))
                     for approx in (False, True)]
@@ -1057,7 +1137,7 @@ class TestColdBoot:
 
         monkeypatch.setattr(ShardStore, "__init__", counting_init)
         monkeypatch.setattr(store_module, "_crc32_file", counting_crc32)
-        cold = DDIScreeningService.from_store(manifest, context)
+        cold = DDIScreeningService.from_store(manifest, artifact)
         assert [_hits(cold.screen_batch(queries, top_k=5, approx=approx))
                 for approx in (False, True)] == expected
         assert opened == [True]
@@ -1070,24 +1150,38 @@ class TestColdBoot:
         ("fewer_drugs", ValueError, None),
         ("missing", FileNotFoundError, None),
         ("garbage", ValueError, None),
-    ], ids=["reordered", "fewer_drugs", "missing", "garbage"])
+        ("serving_context", ValueError, "save_model"),
+    ], ids=["reordered", "fewer_drugs", "missing", "garbage",
+            "serving_context"])
     def test_mismatched_or_unreadable_context_rejected(
-            self, setup, booted, tmp_path, case, error, match):
-        corpus, _, model, builder = setup
-        _, _, manifest, _ = booted
-        context = tmp_path / "context.npz"
-        if case == "reordered":  # same model, same size, other catalog
-            other = DDIScreeningService(model, builder, corpus[::-1])
-            other.register_drug("CCOCC", drug_id="late_1")
-            other.register_drug("CCNCC", drug_id="late_2")
-            other.save_serving_context(context)
-        elif case == "fewer_drugs":
-            DDIScreeningService(model, builder,
-                                corpus).save_serving_context(context)
+            self, booted, tmp_path, case, error, match):
+        """What a boot encodes against — the store's drug records and
+        the model archive — must match the rows, and be readable."""
+        import shutil
+        _, _, manifest, artifact = booted
+        root, model = tmp_path / "store", tmp_path / "model.npz"
+        shutil.copytree(manifest.parent, root)
+        shutil.copyfile(artifact, model)
+        if case in ("reordered", "fewer_drugs"):
+            # Edit the last shard's records under a fresh CRC32, so only
+            # the catalog digest can tell.
+            spec = json.loads((root / "manifest.json").read_text())
+            name = spec["shards"][-1]["drugs"]
+            records = json.loads(np.load(root / name).tobytes())
+            records = records[::-1] if case == "reordered" else records[:-1]
+            np.save(root / name, np.frombuffer(
+                json.dumps(records).encode(), dtype=np.uint8))
+            spec["checksums"][name] = store_module._crc32_file(root / name)
+            (root / "manifest.json").write_text(json.dumps(spec))
+        elif case == "missing":
+            model.unlink()
         elif case == "garbage":
-            context.write_bytes(b"not a zip archive")
+            model.write_bytes(b"not a zip archive")
+        else:  # the .npz serving context an earlier release wrote
+            np.savez(model, meta_json=np.zeros(2, dtype=np.uint8),
+                     model_archive=np.fromfile(artifact, dtype=np.uint8))
         with pytest.raises(error, match=match):
-            DDIScreeningService.from_store(manifest, context)
+            DDIScreeningService.from_store(root, model)
 
     def test_approx_screens_equal_in_memory_mapped_and_booted(
             self, setup, tmp_path):
@@ -1100,9 +1194,10 @@ class TestColdBoot:
         queries = [0, 7, 12]
         expected = _hits(service.screen_batch(queries, top_k=5, approx=True))
         manifest = service.save_shards(tmp_path / "store")
-        context = service.save_serving_context(tmp_path / "context")
+        save_model(tmp_path / "model.npz", model, builder)
         assert service.open_shards(manifest, strict=True)
-        cold = DDIScreeningService.from_store(manifest, context)
+        cold = DDIScreeningService.from_store(manifest,
+                                              tmp_path / "model.npz")
         for placement in (service, cold):
             assert _hits(placement.screen_batch(queries, top_k=5,
                                                 approx=True)) == expected
@@ -1151,33 +1246,6 @@ class TestColdBoot:
             approx_oversample=service.num_drugs)) == \
             _hits(service.screen_batch(queries, top_k=5))
         assert service.shard_store is not None
-
-    def test_failed_context_save_keeps_previous_context(
-            self, booted, tmp_path, monkeypatch):
-        import shutil
-        warm, _, manifest, context = booted
-        path = tmp_path / "context.npz"
-        shutil.copyfile(context, path)
-        before = path.read_bytes()
-        # Fail mid-archive: on the last encoder-context layer, after the
-        # model archive and before the extension rows.
-        victim = warm._cache.context.layer_node_feats[-1].data
-        write_array = np.lib.format.write_array
-
-        def failing(fid, array, *args, **kwargs):
-            if array is victim:
-                raise OSError("injected: disk full")
-            return write_array(fid, array, *args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(np.lib.format, "write_array", failing)
-            with pytest.raises(OSError, match="injected"):
-                warm.save_serving_context(path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["context.npz"]
-        rebooted = DDIScreeningService.from_store(manifest, path)
-        assert rebooted.num_drugs == warm.num_drugs
-        assert rebooted.stats.corpus_encodes == 0
 
     def test_pair_scores_and_registration_still_work(self, booted):
         # Runs last in the class: registration grows both catalogs, so

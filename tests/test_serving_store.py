@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.chem import MoleculeGenerator
-from repro.core import HyGNN, HyGNNConfig
+from repro.core import HyGNN, HyGNNConfig, save_model
 from repro.core.decoder import MLPDecoder, make_screen_kernel
 from repro.nn import Tensor
 from repro.core.encoder import EncoderContext
@@ -46,6 +46,12 @@ def _hits(results):
     return [[(h.index, h.probability) for h in hits] for hits in results]
 
 
+def _drugs(count):
+    """Drug ids and SMILES for ``count`` synthetic rows."""
+    return {"drug_ids": [f"drug_{i}" for i in range(count)],
+            "smiles": ["C" * (1 + i % 4) for i in range(count)]}
+
+
 def _synthetic(seed=0, n=90, d=8):
     rng = np.random.default_rng(seed)
     decoder = MLPDecoder(d, d, np.random.default_rng(seed))
@@ -62,10 +68,13 @@ class TestShardStore:
         manifest = ShardStore.save(tmp_path / "store", emb, proj,
                                    num_shards=4, block_size=17,
                                    fingerprint="float64:0123abcd",
-                                   catalog_digest="abc123")
+                                   catalog_digest="abc123",
+                                   **_drugs(53))
         assert manifest.name == "manifest.json"
         store = ShardStore(manifest)
         assert store.num_drugs == 53
+        assert store.drugs() == tuple(_drugs(53).values())
+        assert store.encoder_context() is None  # raw rows carry none
         assert store.embed_dim == emb.shape[1]
         assert store.num_shards == 4
         assert store.block_size == 17
@@ -87,14 +96,14 @@ class TestShardStore:
 
     def test_open_accepts_directory_or_manifest(self, tmp_path):
         _, emb, proj = _synthetic(n=10)
-        ShardStore.save(tmp_path / "s", emb, proj)
+        ShardStore.save(tmp_path / "s", emb, proj, **_drugs(10))
         assert ShardStore(tmp_path / "s").num_drugs == 10
         assert ShardStore(tmp_path / "s" / "manifest.json").num_drugs == 10
 
     def test_shards_are_memory_mapped(self, tmp_path):
         _, emb, proj = _synthetic(n=20)
         store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
-                                           num_shards=2))
+                                           num_shards=2, **_drugs(20)))
         shard = store.open_shard(0)
         assert isinstance(shard.embeddings, np.memmap)
         assert all(isinstance(m, np.memmap)
@@ -105,7 +114,7 @@ class TestShardStore:
         rng = np.random.default_rng(0)
         emb = rng.standard_normal((30, 6))
         manifest = ShardStore.save(tmp_path / "dot", emb, {"emb": emb},
-                                   num_shards=3)
+                                   num_shards=3, **_drugs(30))
         spec = json.loads(manifest.read_text())
         assert spec["aliases"] == ["emb"]
         assert all(not s["projections"] for s in spec["shards"])
@@ -114,14 +123,18 @@ class TestShardStore:
 
     def test_rejects_bad_inputs(self, tmp_path):
         _, emb, proj = _synthetic(n=8)
+        drugs = _drugs(8)
         with pytest.raises(ValueError, match="non-empty"):
-            ShardStore.save(tmp_path / "a", np.zeros((0, 4)))
+            ShardStore.save(tmp_path / "a", np.zeros((0, 4)), **_drugs(0))
         with pytest.raises(ValueError, match="num_shards"):
-            ShardStore.save(tmp_path / "b", emb, num_shards=0)
+            ShardStore.save(tmp_path / "b", emb, num_shards=0, **drugs)
         with pytest.raises(ValueError, match="projection"):
-            ShardStore.save(tmp_path / "c", emb, {"p": emb[:3]})
+            ShardStore.save(tmp_path / "c", emb, {"p": emb[:3]}, **drugs)
         with pytest.raises(ValueError, match="file-name"):
-            ShardStore.save(tmp_path / "d", emb, {"../evil": emb})
+            ShardStore.save(tmp_path / "d", emb, {"../evil": emb}, **drugs)
+        with pytest.raises(ValueError, match="7 drug ids and 8 SMILES"):
+            ShardStore.save(tmp_path / "e", emb, proj, smiles=drugs["smiles"],
+                            drug_ids=drugs["drug_ids"][:7])
 
     def test_rejects_foreign_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -150,7 +163,7 @@ class TestShardStore:
     def test_more_shards_than_rows_skips_empties(self, tmp_path):
         _, emb, proj = _synthetic(n=3)
         store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
-                                           num_shards=10))
+                                           num_shards=10, **_drugs(3)))
         assert store.num_shards == 3
         assert store.num_drugs == 3
 
@@ -167,7 +180,8 @@ class TestMappedCatalog:
         score = exact_score_fn(kernel, query_proj)
         reference = ShardedEmbeddingCatalog(emb, proj, num_shards=3,
                                             block_size=13).screen(score, 2, 9)
-        manifest = ShardStore.save(tmp_path / "s", emb, proj, num_shards=3)
+        manifest = ShardStore.save(tmp_path / "s", emb, proj, num_shards=3,
+                                   **_drugs(120))
         for block_size in (5, 13, 1000):
             mapped = ShardStore(manifest).catalog(block_size)
             assert isinstance(mapped, ShardedEmbeddingCatalog)
@@ -178,7 +192,8 @@ class TestMappedCatalog:
 
     def test_rows_gather_matches_in_memory(self, tmp_path):
         decoder, emb, proj = _synthetic(seed=7, n=64)
-        manifest = ShardStore.save(tmp_path / "s", emb, proj, num_shards=5)
+        manifest = ShardStore.save(tmp_path / "s", emb, proj, num_shards=5,
+                                   **_drugs(64))
         mapped = ShardStore(manifest).catalog(8)
         reference = ShardedEmbeddingCatalog(emb, proj)
         for indices in (np.array([63, 0, 17, 17, 40, 2]),  # cross-shard
@@ -270,18 +285,20 @@ class TestServiceStore:
             service.open_shards(bad, strict=True)
 
     def test_artifacts_carry_one_digest_string(self, setup, tmp_path):
-        """A store and a serving context written here round-trip
-        strictly; the same store carrying another digest string is
+        """A store written here round-trips strictly, and boots with the
+        model archive; the same store carrying another digest string is
         rejected."""
+        _, _, model, _, builder = setup
         service = _service(setup, num_shards=2)
         expected = _hits([service.screen(3, top_k=5)])[0]
         manifest = service.save_shards(tmp_path / "store")
-        context = service.save_serving_context(tmp_path / "context")
+        artifact = tmp_path / "model.npz"
+        save_model(artifact, model, builder)
         digest = json.loads(manifest.read_text())["fingerprint"]
         assert digest == service._fingerprint()
         assert digest.startswith(f"{service.precision}:")
         assert _service(setup).open_shards(manifest, strict=True)
-        cold = DDIScreeningService.from_store(manifest, context)
+        cold = DDIScreeningService.from_store(manifest, artifact)
         assert _hits([cold.screen(3, top_k=5)])[0] == expected
         assert cold.stats.corpus_encodes == 0
 
@@ -293,7 +310,7 @@ class TestServiceStore:
         assert not fresh.open_shards(manifest)
         for load in (lambda: fresh.open_shards(manifest, strict=True),
                      lambda: DDIScreeningService.from_store(manifest,
-                                                            context)):
+                                                            artifact)):
             with pytest.raises(ValueError, match="fingerprint"):
                 load()
 
@@ -397,7 +414,9 @@ class TestServiceStore:
         """Saving a copy writes the served rows and leaves the attached
         store, its workers and every screen untouched; the copy boots
         into the same bits."""
-        corpus = setup[0]
+        corpus, _, model, _, builder = setup
+        artifact = tmp_path / "model.npz"
+        save_model(artifact, model, builder)
         service = _service(setup, num_shards=2, block_size=8)
         assert service.open_shards(service.save_shards(tmp_path / "store"),
                                    strict=True)
@@ -420,12 +439,11 @@ class TestServiceStore:
                     remote_screens + len(queries)
                 assert _hits(service.screen_batch(queries, top_k=6,
                                                   approx=True)) == approx
-                context = service.save_serving_context(tmp_path / "context")
                 service.register_drug(corpus[5], drug_id="late_2")
                 assert service.catalog_version == version + 1
             finally:
                 service.disconnect_workers()
-        cold = DDIScreeningService.from_store(backup, context)
+        cold = DDIScreeningService.from_store(backup, artifact)
         assert cold.stats.corpus_encodes == 0
         assert _hits(cold.screen_batch(queries, top_k=6)) == exact
         assert _hits(cold.screen_batch(queries, top_k=6,

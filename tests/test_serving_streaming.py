@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.chem import MoleculeGenerator
-from repro.core import HyGNN, HyGNNConfig
+from repro.core import HyGNN, HyGNNConfig, save_model
 from repro.core.decoder import MLPDecoder, make_screen_kernel
 from repro.serving import (CrashPoint, CrashPolicy, DDIScreeningService,
                            ScreeningGateway, ShardedEmbeddingCatalog,
@@ -52,6 +52,13 @@ def _screen_memory(decoder, embeddings, queries, top_k=6,
                           len(queries), top_k)
 
 
+def _drugs(count, start=0):
+    """Drug ids and SMILES for ``count`` rows from row ``start`` on."""
+    rows = range(start, start + count)
+    return {"drug_ids": [f"drug_{i}" for i in rows],
+            "smiles": ["C" * (1 + i % 4) for i in rows]}
+
+
 def _same_screens(a, b):
     return all(np.array_equal(ia, ib) and np.array_equal(pa, pb)
                for (ia, pa), (ib, pb) in zip(a, b))
@@ -77,7 +84,7 @@ class TestCrashSweep:
         decoder, emb, proj = _synthetic(n=18)
         store_dir = root / "base"
         ShardStore.save(store_dir, emb, proj, num_shards=2, block_size=7,
-                        catalog_digest="v0")
+                        catalog_digest="v0", **_drugs(18))
         rng = np.random.default_rng(99)
         extra = rng.standard_normal((5, emb.shape[1]))
         return root, decoder, emb, extra, store_dir
@@ -151,7 +158,7 @@ class TestCrashSweep:
             prepare=lambda store: None,
             mutate=lambda store: store.append(
                 extra, store_projections(store, decoder, extra),
-                catalog_digest="v1"),
+                catalog_digest="v1", **_drugs(5, 18)),
             versions_content={0: emb, 1: combined})
         # The sweep must exercise every fate: crashes before the staged
         # state is durable roll back (with quarantined orphans once any
@@ -169,7 +176,7 @@ class TestCrashSweep:
 
         def prepare(store):
             store.append(extra, store_projections(store, decoder, extra),
-                         catalog_digest="v1")
+                         catalog_digest="v1", **_drugs(5, 18))
 
         self._sweep(
             base, "compact",
@@ -184,7 +191,7 @@ class TestCrashSweep:
 
         def prepare(store):
             store.append(extra, store_projections(store, decoder, extra),
-                         catalog_digest="v1")
+                         catalog_digest="v1", **_drugs(5, 18))
 
         self._sweep(
             base, "rollback",
@@ -208,12 +215,14 @@ class TestAppendOnly:
     def test_appends_never_rewrite_existing_bytes(self, tmp_path):
         decoder, emb, proj = _synthetic(n=20)
         store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
-                                           num_shards=2))
+                                           num_shards=2,
+                                           **_drugs(len(emb))))
         rng = np.random.default_rng(7)
         for round_ in range(3):
             before = _file_states(tmp_path / "s")
             rows = rng.standard_normal((4, emb.shape[1]))
-            store.append(rows, store_projections(store, decoder, rows))
+            store.append(rows, store_projections(store, decoder, rows),
+                         **_drugs(len(rows), store.num_drugs))
             after = _file_states(tmp_path / "s")
             for name, state in before.items():
                 assert after[name] == state, \
@@ -224,13 +233,15 @@ class TestAppendOnly:
                                                               tmp_path):
         decoder, emb, proj = _synthetic(n=15)
         store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
-                                           num_shards=2))
+                                           num_shards=2,
+                                           **_drugs(len(emb))))
         rng = np.random.default_rng(3)
         contents = {0: emb}
         current = emb
         for version in (1, 2, 3):
             rows = rng.standard_normal((3, emb.shape[1]))
-            store.append(rows, store_projections(store, decoder, rows))
+            store.append(rows, store_projections(store, decoder, rows),
+                         **_drugs(len(rows), store.num_drugs))
             current = np.concatenate([current, rows], axis=0)
             contents[version] = current
         queries = emb[[1, 4]]
@@ -245,10 +256,12 @@ class TestAppendOnly:
 
     def test_versions_are_monotonic_and_retained(self, tmp_path):
         decoder, emb, proj = _synthetic(n=10)
-        store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj))
+        store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
+                                           **_drugs(len(emb))))
         rng = np.random.default_rng(5)
         rows = rng.standard_normal((2, emb.shape[1]))
-        store.append(rows, store_projections(store, decoder, rows))
+        store.append(rows, store_projections(store, decoder, rows),
+                     **_drugs(len(rows), store.num_drugs))
         assert store.versions() == [0, 1]
         assert store.manifest_for(0)["num_drugs"] == 10
         assert store.manifest_for(1)["num_drugs"] == 12
@@ -259,11 +272,13 @@ class TestAppendOnly:
     def test_gc_reclaims_dropped_versions_only(self, tmp_path):
         decoder, emb, proj = _synthetic(n=12)
         store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
-                                           num_shards=2))
+                                           num_shards=2,
+                                           **_drugs(len(emb))))
         rng = np.random.default_rng(11)
         for _ in range(3):
             rows = rng.standard_normal((2, emb.shape[1]))
-            store.append(rows, store_projections(store, decoder, rows))
+            store.append(rows, store_projections(store, decoder, rows),
+                         **_drugs(len(rows), store.num_drugs))
         full = np.concatenate(
             [np.asarray(store.open_shard(i).embeddings)
              for i in range(store.num_shards)], axis=0)
@@ -284,15 +299,18 @@ class TestAppendOnly:
         new version 0: no old version can be rolled back into it."""
         decoder, emb, proj = _synthetic(n=12)
         store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
-                                           num_shards=2))
+                                           num_shards=2,
+                                           **_drugs(len(emb))))
         rng = np.random.default_rng(2)
         for _ in range(6):
             rows = rng.standard_normal((1, emb.shape[1]))
-            store.append(rows, store_projections(store, decoder, rows))
+            store.append(rows, store_projections(store, decoder, rows),
+                         **_drugs(len(rows), store.num_drugs))
         assert store.versions() == list(range(7))
         fresh_decoder, fresh_emb, fresh_proj = _synthetic(seed=4, n=10)
         fresh = ShardStore(ShardStore.save(tmp_path / "s", fresh_emb,
-                                           fresh_proj, num_shards=2))
+                                           fresh_proj, num_shards=2,
+                                           **_drugs(len(fresh_emb))))
         assert fresh.versions() == [0]
         assert fresh.version == 0 and fresh.num_drugs == 10
         with pytest.raises(ValueError, match="not retained"):
@@ -321,7 +339,8 @@ class TestAppendOnly:
         monkeypatch.setattr(store_module, "_atomic_save", failing_save)
         root = tmp_path / "s"
         with pytest.raises(OSError, match="disk full"):
-            ShardStore.save(root, emb, proj, num_shards=2)
+            ShardStore.save(root, emb, proj, num_shards=2,
+                            **_drugs(len(emb)))
         assert (root / JOURNAL_NAME).exists()
         assert not (root / MANIFEST_NAME).exists()
         report = ShardStore.recover_dir(root)
@@ -333,7 +352,8 @@ class TestAppendOnly:
 
     def test_gc_refuses_with_unresolved_journal(self, tmp_path):
         _, emb, proj = _synthetic(n=8)
-        store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj))
+        store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
+                                           **_drugs(len(emb))))
         (store.root / JOURNAL_NAME).write_text("{}")
         with pytest.raises(RuntimeError, match="journal"):
             store.gc()
@@ -346,11 +366,13 @@ class TestVerifyMemoInvalidation:
     def test_reverify_detects_corruption_after_mutation(self, tmp_path):
         decoder, emb, proj = _synthetic(n=16)
         store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
-                                           num_shards=2))
+                                           num_shards=2,
+                                           **_drugs(len(emb))))
         assert store.verify() == []  # memoizes every file as clean
         rng = np.random.default_rng(1)
         rows = rng.standard_normal((2, emb.shape[1]))
-        store.append(rows, store_projections(store, decoder, rows))
+        store.append(rows, store_projections(store, decoder, rows),
+                     **_drugs(len(rows), store.num_drugs))
         # Corrupt a file that was verified *before* the mutation; the
         # regression was a stale memo skipping the re-read here.
         victim = store.root / store.manifest["shards"][0]["embeddings"]
@@ -362,7 +384,8 @@ class TestVerifyMemoInvalidation:
 
     def test_reload_clears_memo_too(self, tmp_path):
         _, emb, proj = _synthetic(n=10)
-        store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj))
+        store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
+                                           **_drugs(len(emb))))
         assert store.verify() == []
         store.reload()
         victim = store.root / store.manifest["shards"][0]["embeddings"]
@@ -487,6 +510,116 @@ class TestServiceLivingCatalog:
         assert fresh.catalog_version == 0
         assert not (tmp_path / "store" / JOURNAL_NAME).exists()
         assert _hits([fresh.screen(2, top_k=5)]) == reference
+
+
+# ---------------------------------------------------------------------------
+# Restart from the store at every committed version
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module", params=["mlp", "dot"])
+def booting(request, tmp_path_factory):
+    """A model archive and a 2-shard store of the corpus, per decoder."""
+    corpus = _corpus()
+    extras = [r.smiles
+              for r in MoleculeGenerator(seed=77).generate_corpus(6)]
+    config = HyGNNConfig(parameter=4, embed_dim=12, hidden_dim=12, seed=5,
+                         decoder=request.param)
+    model, _, builder = HyGNN.for_corpus(corpus, config)
+    root = tmp_path_factory.mktemp(f"boot-{request.param}")
+    save_model(root / "model.npz", model, builder)
+    DDIScreeningService(model, builder, corpus).save_shards(
+        root / "base", num_shards=2)
+    return corpus, extras, model, builder, root
+
+
+class TestRestartFromStore:
+    """The store is the one record of the catalog: it boots, with the
+    model archive, at every version it commits."""
+
+    @staticmethod
+    def _writer(booting, store, registered=False):
+        """A live service that owns a copy of the base store."""
+        corpus, extras, model, builder, root = booting
+        shutil.copytree(root / "base", store)
+        service = DDIScreeningService(model, builder, corpus, num_shards=2,
+                                      block_size=8)
+        assert service.open_shards(store, strict=True)
+        if registered:
+            service.register_drugs(extras[:2], drug_ids=["xa", "xb"])
+        return service
+
+    def test_boots_at_every_committed_version(self, booting, tmp_path):
+        """After an append-through, a compaction, a rollback and a
+        registration on a booted service, the store boots into the
+        serving service's exact and approximate bits, with no corpus
+        encode."""
+        _, extras, _, _, root = booting
+        store = tmp_path / "store"
+        live = self._writer(booting, store)
+
+        def boots_as(service):
+            booted = DDIScreeningService.from_store(store,
+                                                    root / "model.npz")
+            queries = [0, 7, service.num_drugs - 1]
+            for approx in (False, True):
+                assert _hits(booted.screen_batch(
+                    queries, top_k=5, approx=approx)) == _hits(
+                        service.screen_batch(queries, top_k=5,
+                                             approx=approx))
+            assert booted.drug_ids == service.drug_ids
+            assert booted.catalog_version == service.catalog_version
+            assert booted.stats.corpus_encodes == 0
+            return booted
+
+        live.register_drugs(extras[:2], drug_ids=["xa", "xb"])
+        boots_as(live)
+        live.compact_shards(2)
+        boots_as(live)
+        live.rollback_catalog(0)
+        booted = boots_as(live)
+        booted.register_drugs(extras[2:4], drug_ids=["xc", "xd"])
+        boots_as(booted)
+
+    @pytest.mark.parametrize("op", ["append", "compact", "rollback"])
+    def test_boots_on_a_committed_version_after_any_crash(
+            self, booting, tmp_path, op):
+        """A writer killed at any crash point of a registration's append,
+        a compaction or a rollback leaves a store that boots on a
+        committed version, screening like an in-memory service over that
+        version's drugs."""
+        corpus, extras, model, builder, root = booting
+        base = DDIScreeningService(model, builder, corpus)
+        extended = DDIScreeningService(model, builder, corpus)
+        extended.register_drugs(extras[:2], drug_ids=["xa", "xb"])
+        committed = {"append": {0: base, 1: extended},
+                     "compact": {1: extended, 2: extended},
+                     "rollback": {1: extended, 2: base}}[op]
+        mutate = {"append": lambda service: service.register_drugs(
+                      extras[:2], drug_ids=["xa", "xb"]),
+                  "compact": lambda service: service.compact_shards(2),
+                  "rollback": lambda service: service.rollback_catalog(0)
+                  }[op]
+        recorder = CrashPolicy()
+        writer = self._writer(booting, tmp_path / "recorder",
+                              registered=op != "append")
+        writer.shard_store.crash_policy = recorder
+        mutate(writer)
+        assert f"{op}.manifest" in recorder.seen
+        for i, point in enumerate(recorder.seen):
+            store = tmp_path / f"crash-{i}"
+            writer = self._writer(booting, store,
+                                  registered=op != "append")
+            writer.shard_store.crash_policy = CrashPolicy(point)
+            with pytest.raises(CrashPoint):
+                mutate(writer)
+            booted = DDIScreeningService.from_store(store,
+                                                    root / "model.npz")
+            assert booted.catalog_version in committed, point
+            reference = committed[booted.catalog_version]
+            queries = [0, 5, reference.num_drugs - 1]
+            assert booted.drug_ids == reference.drug_ids, point
+            assert _hits(booted.screen_batch(queries, top_k=5)) == \
+                _hits(reference.screen_batch(queries, top_k=5)), point
+            assert booted.stats.corpus_encodes == 0
 
 
 # ---------------------------------------------------------------------------
