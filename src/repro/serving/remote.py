@@ -32,7 +32,10 @@ client):
   per-shard task on the locally mapped store.  The reduce is the
   engine's :func:`~repro.serving.shards.finalize_screen`, so the merged
   results are **bitwise-identical** to the serial in-memory engine under
-  any fault schedule, and each shard costs one round trip.
+  any fault schedule, and each shard costs one round trip.  The client
+  keeps its connections to each worker open and reuses them: one the
+  worker has closed is dropped before reuse, one whose request failed is
+  closed, and :meth:`RemoteShardExecutor.close` closes them all.
 
 Wire format (no third-party deps): each frame is a 4-byte big-endian
 header length, a JSON header, and the raw C-order bytes of each array the
@@ -57,7 +60,7 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -490,11 +493,14 @@ def _parse_address(worker) -> tuple[str, int]:
 
 @dataclass
 class _Endpoint:
-    """Client-side view of one worker: address + health machinery."""
+    """Client-side view of one worker: address, health machinery and the
+    idle connections to it (most recently used last)."""
 
     address: tuple[str, int]
     breaker: CircuitBreaker
     mismatched: bool = False   # serves a different store — never use
+    idle: list[socket.socket] = field(default_factory=list)
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 class RemoteShardExecutor:
@@ -596,10 +602,17 @@ class RemoteShardExecutor:
         return self._threads
 
     def close(self) -> None:
-        """Release the fan-out threads (idempotent; executor stays usable)."""
+        """Release the fan-out threads and close every idle worker
+        connection, which ends its handler on the worker (idempotent; the
+        executor stays usable and its next request reconnects)."""
         if self._threads is not None:
             self._threads.shutdown(wait=True)
             self._threads = None
+        for endpoint in self._endpoints:
+            with endpoint.lock:
+                idle, endpoint.idle = endpoint.idle, []
+            for sock in idle:
+                sock.close()
 
     def __enter__(self) -> "RemoteShardExecutor":
         return self
@@ -611,14 +624,47 @@ class RemoteShardExecutor:
     # ------------------------------------------------------------------
     # Wire helpers
     # ------------------------------------------------------------------
+    def _connection(self, endpoint: _Endpoint) -> socket.socket:
+        """The most recently used idle connection to ``endpoint`` that the
+        worker has not closed, or a new one."""
+        while True:
+            with endpoint.lock:
+                if not endpoint.idle:
+                    break
+                sock = endpoint.idle.pop()
+            # An idle connection has nothing to read: EOF means the worker
+            # closed it (stopped or restarted), and a byte is data nobody
+            # asked for.  A non-blocking peek never waits; select() would
+            # refuse descriptors >= 1024, which mapped shards reach.
+            sock.settimeout(0.0)
+            try:
+                sock.recv(1, socket.MSG_PEEK)
+            except BlockingIOError:
+                sock.settimeout(self.timeout_s)
+                return sock
+            except OSError:
+                pass
+            sock.close()
+        return socket.create_connection(endpoint.address,
+                                        timeout=self.timeout_s)
+
     def _roundtrip(self, endpoint: _Endpoint, header: dict,
                    arrays: dict[str, np.ndarray] | None = None
                    ) -> tuple[dict, dict[str, np.ndarray]]:
-        with socket.create_connection(endpoint.address,
-                                      timeout=self.timeout_s) as sock:
-            sock.settimeout(self.timeout_s)
+        """Send one request frame and read its reply over a pooled
+        connection.  The connection goes back to the pool only once the
+        whole reply frame is read; any failure closes it, so a late reply
+        is never read as the answer to a later request."""
+        sock = self._connection(endpoint)
+        try:
             send_message(sock, header, arrays)
-            return recv_message(sock)
+            reply = recv_message(sock)
+        except BaseException:
+            sock.close()
+            raise
+        with endpoint.lock:
+            endpoint.idle.append(sock)
+        return reply
 
     def probe_health(self) -> dict[tuple[str, int], dict | None]:
         """``health`` probe of every worker (None = unreachable)."""

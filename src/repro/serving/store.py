@@ -61,10 +61,10 @@ The store is a **versioned, crash-consistent, append-only catalog**:
   whose screens are bitwise-identical to that version's engine.
 
 Reopening goes through ``np.load(..., mmap_mode="r")``: shard arrays become
-read-only memory maps, so a screening pass touches O(block) file pages at a
-time and its heap allocations stay O(block + k) — a catalog (projections
-included) far larger than RAM streams through the engine.  A store's shards
-are the contiguous row ranges of the engine's shard plan
+read-only ndarray views of memory maps, so a screening pass touches O(block)
+file pages at a time and its heap allocations stay O(block + k) — a catalog
+(projections included) far larger than RAM streams through the engine.  A
+store's shards are the contiguous row ranges of the engine's shard plan
 (:mod:`repro.serving.shards`), and every placement reads them the same way:
 :meth:`ShardStore.catalog` wraps the mapped shards in the one
 :class:`~repro.serving.shards.ShardedEmbeddingCatalog`, which runs the plan
@@ -274,6 +274,8 @@ class ShardStore:
         self.crash_policy: CrashPolicy | None = None
         self.recovered: dict | None = None
         self._mutate_lock = threading.Lock()
+        # (file name, manifest CRC32) of every file checked so far.
+        self._verified: set[tuple[str, int]] = set()
         if recover:
             self.recovered = self.recover_dir(self.root)
         manifest = json.loads(path.read_text())
@@ -287,9 +289,10 @@ class ShardStore:
         Called from the constructor and after every successful disk commit
         — never before one, so a mutation that dies mid-commit (including
         a simulated :class:`~repro.serving.faults.CrashPoint`) leaves the
-        in-memory store exactly as it was.  Any mutation invalidates the
-        entire verify memo: checksum results proven against the previous
-        catalog state say nothing about the new one.
+        in-memory store exactly as it was.  The verify memo keeps only the
+        files this manifest still lists under the same CRC32: a mutation
+        writes new files, and a file re-saved in place comes back with a
+        new checksum unless its bytes are unchanged.
         """
         if not isinstance(manifest, dict):
             raise ValueError(f"{self.path} is not a shard-store manifest")
@@ -349,7 +352,8 @@ class ShardStore:
         # re-save the store.
         if not keep_quarantine:
             self.quarantined: set[int] = set()
-        self._verified: set[str] = set()
+        self._verified = {entry for entry in self._verified
+                          if checksums.get(entry[0]) == entry[1]}
         if not keep_opened:
             self._opened: dict[int, CatalogShard] = {}
 
@@ -383,13 +387,13 @@ class ShardStore:
         """CRC-check one store file (memoized); quarantine on mismatch.
 
         Every file the manifest references has a checksum (:meth:`_install`
-        refuses one that does not).  The memo lives only until the next
-        mutation: any append/compaction/rollback/reload clears it, so
-        re-verify re-reads the bytes.
+        refuses one that does not).  The memo is keyed by file name and
+        checksum, so a version that lists the file under another checksum
+        re-reads its bytes.
         """
-        if name in self._verified:
-            return
         expected = self._checksums[name]
+        if (name, expected) in self._verified:
+            return
         actual = _crc32_file(self.root / name)
         if actual != expected:
             if shard is not None:
@@ -399,7 +403,7 @@ class ShardStore:
                 f"manifest checksum {expected:#010x} — shard file is torn "
                 f"or corrupt" + (f" (shard {shard} quarantined)"
                                  if shard is not None else ""))
-        self._verified.add(name)
+        self._verified.add((name, expected))
 
     def _shard_files(self, index: int) -> list[str]:
         spec = self.manifest["shards"][index]
@@ -409,11 +413,14 @@ class ShardStore:
         """CRC-check every file of this version now; returns the bad shard
         indices.
 
-        A shard whose rows or drug records fail is quarantined.
-        ``strict=True`` raises :class:`ShardIntegrityError` on the first
-        mismatch instead of collecting; a torn encoder-context or sketch
-        factor file always raises, as no shard can route around it.
+        Every byte is read again, whatever the memo holds, so a file
+        damaged since an earlier check is caught.  A shard whose rows or
+        drug records fail is quarantined.  ``strict=True`` raises
+        :class:`ShardIntegrityError` on the first mismatch instead of
+        collecting; a torn encoder-context or sketch factor file always
+        raises, as no shard can route around it.
         """
+        self._verified = set()
         bad: list[int] = []
         for index, spec in enumerate(self.manifest["shards"]):
             try:
@@ -510,8 +517,10 @@ class ShardStore:
         return shard
 
     def _load(self, name: str, mmap_mode: str | None = "r") -> np.ndarray:
+        # A plain read-only ndarray over the mapping: every slice of an
+        # np.memmap runs its Python-level __getitem__/__array_finalize__.
         with _NPY_LOAD_LOCK:
-            return np.load(self.root / name, mmap_mode=mmap_mode)
+            return np.asarray(np.load(self.root / name, mmap_mode=mmap_mode))
 
     def catalog(self, block_size: int | None = None
                 ) -> ShardedEmbeddingCatalog:
@@ -595,8 +604,7 @@ class ShardStore:
             _commit(self.root, self._crash, "append", new_manifest,
                     data_files)
             # Existing shard indices (and their mmaps) are untouched by an
-            # append, so the open-shard memo survives; the verify memo
-            # never does (satellite of the crash-safety contract).
+            # append, so the open-shard memo survives.
             self._install(new_manifest, keep_opened=True,
                           keep_quarantine=True)
             return new_version
@@ -751,8 +759,10 @@ class ShardStore:
 
         What a remote worker does when a request names a newer committed
         version than it holds: the manifest may have moved on since this
-        process opened it.  All memos are dropped — shard indices may have
-        changed.
+        process opened it.  The open shards are dropped, as shard indices
+        may have changed; the checks of files the new manifest still lists
+        under the same checksum are kept, so after an append only the new
+        segment's files are read again.
         """
         with self._mutate_lock:
             manifest = json.loads((self.root / MANIFEST_NAME).read_text())

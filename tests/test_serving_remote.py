@@ -1,7 +1,8 @@
 """Tests for the fault-tolerant shard-worker screening tier: wire framing,
 deterministic fault injection (`repro.serving.faults`), the shard worker +
-failover client (`repro.serving.remote`), the store every screen request
-names (swapped workers, lagging replicas, one round trip per shard),
+failover client (`repro.serving.remote`) and the worker connections it
+keeps, the store every screen request names (swapped workers, lagging
+replicas, one round trip per shard),
 store integrity checksums and quarantine, cold boot
 (`DDIScreeningService.from_store`), local worker processes
 (`DDIScreeningService.start_workers`: worker death, weight updates,
@@ -487,9 +488,20 @@ class TestRemoteExecutor:
         service, _ = served
         return _hits(service.screen_batch([0, 5, 9], top_k=6, **kwargs))
 
-    def test_parity_and_routing(self, served):
+    def test_parity_and_routing(self, served, monkeypatch):
+        """Remote screens equal the serial ones over kept connections: no
+        worker ever has more requests in flight than the store has
+        shards, so 20 screens open at most that many connections."""
         service, manifest = served
         serial = self._serial(served)
+        opened = []
+        connect = socket.create_connection
+
+        def counting_connect(address, *args, **kwargs):
+            opened.append(address)
+            return connect(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counting_connect)
         with ShardWorker(manifest) as w1, ShardWorker(manifest) as w2:
             service.connect_workers([w1, w2], backoff_base_s=0.001)
             try:
@@ -499,8 +511,15 @@ class TestRemoteExecutor:
                 assert service.stats.remote_screens == before + 3
                 assert service.remote.stats["remote_requests"] == 3
                 assert service.remote.stats["local_fallbacks"] == 0
+                for _ in range(19):
+                    assert _hits(service.screen_batch([0, 5, 9],
+                                                      top_k=6)) == serial
+                stats = dict(service.remote.stats)
             finally:
                 service.disconnect_workers()
+        assert stats["remote_requests"] == 60
+        assert stats["remote_failures"] == 0
+        assert 1 <= len(opened) <= service.shard_store.num_shards
 
     def test_parity_two_sided_and_heterogeneous(self, served):
         service, manifest = served
@@ -754,6 +773,96 @@ class TestRemoteExecutor:
 
 
 # ---------------------------------------------------------------------------
+# Kept worker connections
+# ---------------------------------------------------------------------------
+def _handler_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name.endswith("(process_request_thread)")]
+
+
+class TestKeptConnections:
+    """The client keeps its connections to each worker open: one the
+    worker closed is dropped before reuse, one whose request failed is
+    closed, and ``close()`` closes the rest."""
+
+    def test_restarted_worker_costs_no_failure(self, served):
+        """A worker stopped and started again on the same address closed
+        the kept connections, so they are dropped before the next screen
+        and it counts no failure and no retry."""
+        service, manifest = served
+        serial = _hits(service.screen_batch([0, 5, 9], top_k=6))
+        original = ShardWorker(manifest).start()
+        address = original.address
+        try:
+            remote = service.connect_workers([address],
+                                             backoff_base_s=0.001)
+            assert _hits(service.screen_batch([0, 5, 9], top_k=6)) == serial
+            original.stop()
+            with ShardWorker(manifest, port=address[1]) as restarted:
+                got = _hits(service.screen_batch([0, 5, 9], top_k=6))
+                stats = dict(remote.stats)
+                answered = restarted.requests_served
+        finally:
+            service.disconnect_workers()
+            original.stop()
+        assert got == serial
+        assert stats["remote_failures"] == 0 and stats["retries"] == 0
+        assert stats["local_fallbacks"] == 0
+        assert answered == 3
+
+    def test_timed_out_connection_is_not_reused(self, served):
+        """A request that timed out closes its connection: the next
+        screen, sent to the same worker while it still owes the late
+        reply, reads its own answers, never that reply."""
+        service, manifest = served
+        batches = ([0, 5, 9], [1, 4, 7])
+        expected = [_hits(service.screen_batch(queries, top_k=6))
+                    for queries in batches]
+        policy = FaultPolicy.single("delay", shard=1, delay_s=1.2)
+        with ShardWorker(manifest, fault_policy=policy) as worker:
+            remote = service.connect_workers([worker], timeout_s=0.5,
+                                             attempts=1, backoff_base_s=0.0)
+            try:
+                got = [_hits(service.screen_batch(queries, top_k=6))
+                       for queries in batches]
+                stats = dict(remote.stats)
+            finally:
+                service.disconnect_workers()
+        assert got == expected
+        assert len(policy.fired) == 1
+        assert stats["remote_failures"] == 1
+        assert stats["local_fallbacks"] == 1
+
+    def test_close_ends_idle_worker_handlers(self, served):
+        """Each kept connection holds a handler thread on the worker.
+        ``close()`` closes them, so those handlers end before the worker
+        is stopped, and the executor reconnects on its next screen;
+        ``disconnect_workers()`` closes them too."""
+        service, manifest = served
+        serial = _hits(service.screen_batch([0, 5, 9], top_k=6))
+
+        def handlers_end():
+            deadline = time.monotonic() + 5.0
+            while _handler_threads() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return _handler_threads() == []
+
+        with ShardWorker(manifest) as worker:
+            remote = service.connect_workers([worker])
+            try:
+                service.screen_batch([0, 5, 9], top_k=6)
+                assert _handler_threads()
+                remote.close()
+                assert handlers_end()
+                assert _hits(service.screen_batch([0, 5, 9],
+                                                  top_k=6)) == serial
+                assert _handler_threads()
+            finally:
+                service.disconnect_workers()
+            assert handlers_end()
+
+
+# ---------------------------------------------------------------------------
 # The store each screen request names
 # ---------------------------------------------------------------------------
 class TestStoreIdentity:
@@ -804,21 +913,29 @@ class TestStoreIdentity:
                                         monkeypatch):
         """The first screen, and the first after an append, send only
         screen frames, one per shard: the worker that is behind reloads
-        once, inside the request that found it behind."""
+        once, inside the request that found it behind, and CRC-checks
+        only the appended segment's files."""
         corpus, _, model, builder = setup
         service = DDIScreeningService(model, builder, corpus, num_shards=2)
         manifest = service.save_shards(tmp_path / "store")
         assert service.open_shards(manifest, strict=True)
         twin = DDIScreeningService(model, builder, corpus)
-        ops = []
-        send = remote_module.send_message
+        ops, checked = [], []
+        send, crc32 = remote_module.send_message, store_module._crc32_file
 
         def spy(stream, header, *args, **kwargs):
             if "op" in header:  # requests; replies carry a status
                 ops.append(header["op"])
             return send(stream, header, *args, **kwargs)
 
+        def worker_crc32(path):
+            if threading.current_thread().name.endswith(
+                    "(process_request_thread)"):
+                checked.append(Path(path).name)
+            return crc32(path)
+
         monkeypatch.setattr(remote_module, "send_message", spy)
+        monkeypatch.setattr(store_module, "_crc32_file", worker_crc32)
         # The worker opens its own store instance, as another process
         # would, so the append leaves it behind.
         with ShardWorker(manifest) as worker:
@@ -828,15 +945,20 @@ class TestStoreIdentity:
                     _hits(twin.screen_batch([0, 5], top_k=4))
                 assert ops == ["screen"] * 2
                 ops.clear()
+                checked.clear()
                 for target in (service, twin):
                     target.register_drug("CCOCC", drug_id="late")
                 assert service.shard_store.num_shards == 3
                 assert _hits(service.screen_batch([0, "late"], top_k=4)) \
                     == _hits(twin.screen_batch([0, "late"], top_k=4))
                 assert ops == ["screen"] * 3
+                segment = service.shard_store.manifest["shards"][-1]
                 stats = dict(remote.stats)
             finally:
                 service.close()
+        assert sorted(checked) == sorted(
+            [segment["embeddings"], *segment["projections"].values()])
+        assert all(name.startswith("seg_v000001.") for name in checked)
         assert stats["remote_requests"] == 5
         assert stats["worker_reloads"] == 1
         assert stats["version_skews"] == 1

@@ -105,8 +105,9 @@ class TestShardStore:
         store = ShardStore(ShardStore.save(tmp_path / "s", emb, proj,
                                            num_shards=2, **_drugs(20)))
         shard = store.open_shard(0)
-        assert isinstance(shard.embeddings, np.memmap)
-        assert all(isinstance(m, np.memmap)
+        # Plain ndarray views whose base is the mapping: mapped, not copied.
+        assert isinstance(shard.embeddings.base, np.memmap)
+        assert all(isinstance(m.base, np.memmap)
                    for m in shard.projections.values())
         assert store.open_shard(0) is shard  # memoized
 
