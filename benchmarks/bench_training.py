@@ -6,9 +6,11 @@ corpus (dropout 0 so every pipeline is deterministically comparable):
 - **eager**: the original closure-graph loop — re-traces the autograd graph
   every epoch and pays a *second* full corpus encode for the validation loss.
 - **compiled**: ``Trainer`` with the replayable :class:`repro.nn.Tape` —
-  records the epoch graph once, then every epoch is a replay into persistent
-  buffers plus an Adam step; validation scores pairs from the epoch's cached
-  embeddings through a decoder-only tape.
+  records the epoch graph once, then every epoch is a forward replay into
+  persistent activation buffers, a backward that writes each gradient once
+  (only tensors whose gradients meet keep a buffer), and an Adam step;
+  validation scores pairs from the epoch's cached embeddings through a
+  decoder-only tape.
 - **mini-batch**: the compiled encoder tape plus shuffled pair batches
   (gradient accumulation; informational row — it bounds memory, not time).
 

@@ -207,14 +207,38 @@ def _gather_rows_forward(ctx, x, out=None):
     return np.take(x, ctx["indices"], axis=0, out=out)
 
 
+def _selection_matrix(indices: np.ndarray, rows: int,
+                      dtype) -> sp.csr_matrix:
+    """CSR ``(rows, len(indices))`` matrix of ones at ``[indices[k], k]``.
+
+    Each row lists its entries in increasing ``k`` (a stable sort of
+    ``indices``), so ``select @ grad`` sums every row's gathered gradients
+    in the order ``np.add.at`` adds them into zeros, and gives the same
+    bits.  The entries carry the operand's ``dtype`` so a float32 gradient
+    is summed in float32, as ``add.at`` sums it.
+    """
+    indices = np.where(indices < 0, indices + rows, indices)
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=rows), out=indptr[1:])
+    return sp.csr_matrix((np.ones(indices.size, dtype=dtype),
+                          np.argsort(indices, kind="stable"), indptr),
+                         shape=(rows, indices.size))
+
+
 def _gather_rows_backward(ctx, out, x):
-    grad = ctx_zeros(ctx, "ga", x.data.shape, x.data.dtype)
-    np.add.at(grad, ctx["indices"], out.grad)
-    return (grad,)
+    shape = x.data.shape
+    select = ctx.get("select")
+    if select is None:
+        select = ctx["select"] = _selection_matrix(ctx["indices"], shape[0],
+                                                   x.data.dtype)
+    width = int(np.prod(shape[1:]))
+    grad = out.grad.reshape(len(ctx["indices"]), width)
+    return ((select @ grad).reshape(shape),)
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows ``x[indices]`` with gradient scattered back by ``add.at``."""
+    """Select rows ``x[indices]``; the gradient is scattered back through a
+    cached 0/1 selection matrix, bitwise equal to ``np.add.at``."""
     indices = np.asarray(indices, dtype=np.int64)
     return apply_op("gather_rows", (x,), _gather_rows_forward,
                     _gather_rows_backward, ctx={"indices": indices})
@@ -903,8 +927,9 @@ def _invertible_checkpoint_backward(ctx, out, x, *params):
     # Re-run the subgraph with gradients enabled on an isolated leaf, then
     # backpropagate the output gradient through the transient inner graph.
     # Captured tensors' existing grads are parked so the inner backward's
-    # contributions can be collected cleanly and returned to apply_op,
-    # which accumulates them into the outer graph exactly once.
+    # contributions can be collected cleanly and returned to the caller
+    # (apply_op's closure or a tape's backward), which delivers them to the
+    # outer graph exactly once.
     with tape_shield():
         x_leaf = Tensor(x.data, requires_grad=x.requires_grad)
         parked = [(p, p.grad) for p in captured]

@@ -20,14 +20,17 @@ call time — the captured graph can then be re-executed at will:
   (stochastic ops such as dropout resample from their generator exactly as
   the eager loop would);
 - :meth:`Tape.backward` seeds the root gradient and runs the recorded
-  backward closures in the same topological order :meth:`Tensor.backward`
-  uses, accumulating into persistent, pre-zeroed gradient buffers;
+  backward functions in the same topological order :meth:`Tensor.backward`
+  uses.  A tensor's first gradient is written, never added into zeros:
+  only the few tensors that two or more gradient edges reach keep a
+  persistent buffer to sum into, and every other tensor's ``.grad`` is the
+  array its one consumer returned (often that op's reused scratch);
 - :meth:`Tape.replay` does both.
 
 Replay is arithmetically *identical* to the eager loop — same functions,
 same operand values, same accumulation order — so loss trajectories and
 final weights match the closure path bitwise.  It is merely faster: no
-tracing, no sorting, and no allocation or page-zeroing churn in the hot
+tracing, no sorting, and no allocation, zero-fill or copy churn in the hot
 loop.  New leaf values flow in either implicitly (optimizers update
 parameter tensors in place) or explicitly via ``replay(new_leaf_values)``.
 """
@@ -42,15 +45,17 @@ from .tensor import Tensor, _TAPE_STACK, _as_array, topological_order
 
 
 class TapeNode:
-    """One recorded op application: output, parents, forward fn, ctx."""
+    """One recorded op application: output, parents, op functions, ctx."""
 
-    __slots__ = ("out", "parents", "forward_fn", "ctx", "buffer")
+    __slots__ = ("out", "parents", "forward_fn", "backward_fn", "ctx",
+                 "buffer")
 
     def __init__(self, out: Tensor, parents: Sequence[Tensor],
-                 forward_fn: Callable, ctx: dict):
+                 forward_fn: Callable, backward_fn: Callable, ctx: dict):
         self.out = out
         self.parents = parents
         self.forward_fn = forward_fn
+        self.backward_fn = backward_fn
         self.ctx = ctx
         # The node's output array doubles as the replay destination buffer
         # whenever it owns its memory; view-producing ops (reshape,
@@ -73,8 +78,10 @@ class Tape:
         self.nodes: list[TapeNode] = []
         self.leaves: list[Tensor] = []
         self._order: list[Tensor] = []
-        self._grad_slots: list[tuple[Tensor, np.ndarray]] | None = None
-        self._transient: list[Tensor] = []
+        self._steps: list[TapeNode] = []
+        self._grad_tensors: list[Tensor] = []
+        self._meeting: set[int] = set()
+        self._buffers: dict[int, np.ndarray] = {}
         self._transient_ids: set[int] = set()
         self._leaf_consumers: dict[int, str] = {}
 
@@ -108,9 +115,11 @@ class Tape:
         return tape
 
     def _note(self, out: Tensor, parents: Sequence[Tensor],
-              forward_fn: Callable, ctx: dict) -> None:
+              forward_fn: Callable, backward_fn: Callable,
+              ctx: dict) -> None:
         """Called by ``apply_op`` for every differentiable node created."""
-        self.nodes.append(TapeNode(out, parents, forward_fn, ctx))
+        self.nodes.append(TapeNode(out, parents, forward_fn, backward_fn,
+                                   ctx))
 
     def _finalize(self, root: Tensor) -> None:
         self.root = root
@@ -123,12 +132,25 @@ class Tape:
                     f"was not routed through apply_op; it cannot be replayed")
         self.leaves = [t for t in self._order
                        if not t._parents and t.requires_grad]
+        self._grad_tensors = [t for t in self._order if t.requires_grad]
+        # The backward pass runs the recorded nodes of the root's graph in
+        # reverse topological order.  Counting the gradient edges they (and
+        # the seed) send to each tensor tells where gradients meet: an op
+        # that takes the same tensor twice sends it two edges.
+        nodes = {id(node.out): node for node in self.nodes}
+        self._steps = [nodes[id(t)] for t in reversed(self._order)
+                       if id(t) in nodes]
+        edges = {id(root): 1}
+        for node in self._steps:
+            for parent in node.parents:
+                if parent.requires_grad:
+                    edges[id(parent)] = edges.get(id(parent), 0) + 1
+        self._meeting = {key for key, count in edges.items() if count > 1}
         # Transient outputs (recompute-in-backward checkpoints) have no
         # persistent activation or gradient storage: replay frees both as
         # soon as the backward pass is done with them.
-        self._transient = [node.out for node in self.nodes
-                           if node.ctx.get("tape_transient")]
-        self._transient_ids = {id(t) for t in self._transient}
+        self._transient_ids = {id(node.out) for node in self.nodes
+                               if node.ctx.get("tape_transient")}
         # Remember which op first consumes each leaf so shape errors on
         # rebinding can name the kernel that would have received the value.
         self._leaf_consumers = {}
@@ -189,10 +211,18 @@ class Tape:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run the recorded backward pass from the root.
 
-        Gradient buffers for every tensor in the graph (parameters
-        included) are allocated once on first use, then zero-filled and
-        reused — ``tensor.grad`` afterwards holds exactly what the eager
-        ``root.backward()`` would have produced, bit for bit.
+        Afterwards ``tensor.grad`` holds exactly what the eager
+        ``root.backward(grad)`` would have produced, bit for bit, for every
+        tensor of the graph; one that no gradient reaches holds zeros, and
+        a checkpoint output, which the pass releases, holds ``None``.
+        A tensor's first gradient is written, not added into zeros.  Only
+        the tensors that two or more gradient edges reach keep a buffer,
+        allocated once, that later edges add into; every other tensor's
+        ``.grad`` is the array its one consumer returned — that op's
+        reused scratch, a view of its own gradient, or ``grad`` itself for
+        the root.  Treat these arrays as read-only: they stay valid until
+        the next ``backward()``, which writes them again.  ``grad`` is
+        never written into.
         """
         root = self.root
         if grad is None:
@@ -206,32 +236,54 @@ class Tape:
             if grad.shape != root.data.shape:
                 raise ValueError(f"gradient shape {grad.shape} != root "
                                  f"shape {root.data.shape}")
-        if self._grad_slots is None:
-            # Transient tensors get no persistent slot: their shapes may be
-            # freed placeholders between replays, and pinning a grad buffer
-            # would reinstate exactly the O(depth) memory the checkpoint op
-            # removes.  ``_accumulate`` allocates for them on demand.
-            self._grad_slots = [(t, np.empty_like(t.data))
-                                for t in self._order
-                                if t.requires_grad
-                                and id(t) not in self._transient_ids]
-        for tensor, buf in self._grad_slots:
-            buf.fill(0)
-            tensor.grad = buf
-        for tensor in self._transient:
+        for tensor in self._grad_tensors:
             tensor.grad = None
-        root._accumulate(grad)
+        self._receive(root, grad)
         transient_ids = self._transient_ids
-        for tensor in reversed(self._order):
-            if tensor._backward is not None and tensor.grad is not None:
-                tensor._backward()
-                if id(tensor) in transient_ids:
-                    # Nothing upstream reads a transient activation or its
-                    # gradient once its backward has run (the checkpoint op
-                    # restored its parents' data itself); release both so
-                    # peak memory stays O(1) in the chain length.
-                    tensor.grad = None
-                    tensor.data = np.empty(0, dtype=tensor.data.dtype)
+        for node in self._steps:
+            out = node.out
+            if out.grad is None:
+                continue
+            grads = node.backward_fn(node.ctx, out, *node.parents)
+            for parent, parent_grad in zip(node.parents, grads):
+                if parent_grad is not None:
+                    self._receive(parent, parent_grad)
+            if id(out) in transient_ids:
+                # Nothing upstream reads a transient activation or its
+                # gradient once its backward has run (the checkpoint op
+                # restored its parents' data itself); release both so
+                # peak memory stays O(1) in the chain length.
+                out.grad = None
+                out.data = np.empty(0, dtype=out.data.dtype)
+        for tensor in self._grad_tensors:
+            if tensor.grad is None and id(tensor) not in transient_ids:
+                tensor.grad = np.zeros_like(tensor.data)
+
+    def _receive(self, tensor: Tensor, grad: np.ndarray) -> None:
+        """Deliver one gradient edge to ``tensor``.
+
+        The buffers are this tape's own: a checkpoint's nested eager
+        backward, which runs inside this pass, never sees them and
+        accumulates into fresh arrays of its own.
+        """
+        if not tensor.requires_grad:
+            return
+        if tensor.grad is not None:
+            tensor.grad += grad       # a later edge of a meeting tensor
+            return
+        key = id(tensor)
+        if key not in self._meeting:
+            tensor.grad = grad
+            return
+        buf = self._buffers.get(key)
+        if buf is None:
+            buf = np.empty_like(tensor.data)
+            # A transient's buffer would pin the memory its checkpoint
+            # releases; it gets a fresh one on every pass instead.
+            if key not in self._transient_ids:
+                self._buffers[key] = buf
+        np.copyto(buf, grad)
+        tensor.grad = buf
 
     def replay(self, leaf_values: Mapping[Tensor, np.ndarray] | None = None,
                grad: np.ndarray | None = None) -> Tensor:

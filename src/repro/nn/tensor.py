@@ -51,7 +51,7 @@ class _NullTape:
     enclosing tape sees the checkpoint op as a single opaque node.
     """
 
-    def _note(self, out, parents, forward_fn, ctx) -> None:
+    def _note(self, out, parents, forward_fn, backward_fn, ctx) -> None:
         pass
 
 
@@ -193,12 +193,21 @@ class Tensor:
     # Graph machinery
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's gradient buffer."""
+        """Add ``grad`` into this tensor's gradient (the eager engine).
+
+        The first gradient is copied into an array of the tensor's own —
+        the op that returned it may reuse it, or it may be another tensor's
+        gradient — and later ones are added into that copy.  Copying gives
+        the bits of adding into zeros, except that a ``-0.0`` stays
+        ``-0.0``, as it does under :meth:`repro.nn.tape.Tape.backward`.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, grad)
+        else:
+            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Back-propagate from this tensor through the recorded graph."""
@@ -354,6 +363,12 @@ def apply_op(op: str, parents: Sequence[Tensor],
     *parents)`` returns one gradient array (or ``None``) per parent, reading
     the *current* ``out.data`` / ``out.grad`` / ``parent.data`` so the node
     stays valid when a tape re-executes it with new leaf values.
+
+    ``backward_fn`` never writes into ``out.grad``: under a tape it is the
+    array another op's backward returned, or the caller's seed gradient.
+    The arrays it returns may be its own ``ctx`` scratch, rewritten by its
+    next call, since a tape hands them on as the parents' ``.grad``
+    unchanged wherever one edge reaches a parent.
     """
     ctx = {} if ctx is None else ctx
     out_data = forward_fn(ctx, *[p.data for p in parents])
@@ -371,7 +386,8 @@ def apply_op(op: str, parents: Sequence[Tensor],
 
         out._backward = backward
         if _TAPE_STACK:
-            _TAPE_STACK[-1]._note(out, parents, forward_fn, ctx)
+            _TAPE_STACK[-1]._note(out, parents, forward_fn, backward_fn,
+                                  ctx)
     return out
 
 

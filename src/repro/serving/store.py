@@ -167,6 +167,11 @@ def _manifest_files(manifest: dict) -> set[str]:
     return names
 
 
+def _spec_files(spec: dict) -> list[str]:
+    """The files an open shard maps: its rows and their projections."""
+    return [spec["embeddings"], *spec["projections"].values()]
+
+
 def _cut_shard(stem: str, lo: int, hi: int, embeddings: np.ndarray,
                projections: dict[str, np.ndarray], names: list[str],
                drug_ids: list[str], smiles: list[str], offset: int = 0
@@ -276,13 +281,14 @@ class ShardStore:
         self._mutate_lock = threading.Lock()
         # (file name, manifest CRC32) of every file checked so far.
         self._verified: set[tuple[str, int]] = set()
+        self._opened: dict[int, CatalogShard] = {}
         if recover:
             self.recovered = self.recover_dir(self.root)
         manifest = json.loads(path.read_text())
         self._install(manifest)
 
     # ------------------------------------------------------------------
-    def _install(self, manifest: dict, *, keep_opened: bool = False,
+    def _install(self, manifest: dict, *,
                  keep_quarantine: bool = False) -> None:
         """Adopt ``manifest`` as this store's current in-memory state.
 
@@ -292,7 +298,10 @@ class ShardStore:
         in-memory store exactly as it was.  The verify memo keeps only the
         files this manifest still lists under the same CRC32: a mutation
         writes new files, and a file re-saved in place comes back with a
-        new checksum unless its bytes are unchanged.
+        new checksum unless its bytes are unchanged.  By the same rule an
+        open shard stays open while its index keeps the same spec (rows
+        and file names) and its files the same CRC32s, so an append, or a
+        reload after one, maps only the new segment.
         """
         if not isinstance(manifest, dict):
             raise ValueError(f"{self.path} is not a shard-store manifest")
@@ -339,6 +348,13 @@ class ShardStore:
         if unchecked:
             raise ValueError(f"{self.path} records no CRC32 checksum for "
                              f"{sorted(unchecked)}; re-save the store")
+        specs = manifest["shards"]
+        self._opened = {
+            index: shard for index, shard in self._opened.items()
+            if index < len(specs)
+            and specs[index] == self.manifest["shards"][index]
+            and all(checksums[name] == self._checksums[name]
+                    for name in _spec_files(specs[index]))}
         self.manifest = manifest
         self._num_drugs = num_drugs
         self._embed_dim = embed_dim
@@ -354,8 +370,6 @@ class ShardStore:
             self.quarantined: set[int] = set()
         self._verified = {entry for entry in self._verified
                           if checksums.get(entry[0]) == entry[1]}
-        if not keep_opened:
-            self._opened: dict[int, CatalogShard] = {}
 
     def _crash(self, point: str) -> None:
         policy = self.crash_policy
@@ -405,10 +419,6 @@ class ShardStore:
                                  if shard is not None else ""))
         self._verified.add((name, expected))
 
-    def _shard_files(self, index: int) -> list[str]:
-        spec = self.manifest["shards"][index]
-        return [spec["embeddings"], *spec["projections"].values()]
-
     def verify(self, strict: bool = False) -> list[int]:
         """CRC-check every file of this version now; returns the bad shard
         indices.
@@ -424,7 +434,7 @@ class ShardStore:
         bad: list[int] = []
         for index, spec in enumerate(self.manifest["shards"]):
             try:
-                for name in [*self._shard_files(index), spec["drugs"]]:
+                for name in [*_spec_files(spec), spec["drugs"]]:
                     self._verify_file(name, shard=index)
             except ShardIntegrityError:
                 if strict:
@@ -490,7 +500,7 @@ class ShardStore:
         # shard quarantined), never silently mis-scored.  The CRC pass
         # streams the file in chunks, so heap stays O(1) even for shards
         # far larger than RAM.
-        for name in self._shard_files(index):
+        for name in _spec_files(spec):
             self._verify_file(name, shard=index)
         embeddings = self._load(spec["embeddings"])
         if embeddings.shape != (stop - start, self.embed_dim):
@@ -603,10 +613,7 @@ class ShardStore:
             new_manifest["shards"] = new_manifest["shards"] + [spec]
             _commit(self.root, self._crash, "append", new_manifest,
                     data_files)
-            # Existing shard indices (and their mmaps) are untouched by an
-            # append, so the open-shard memo survives.
-            self._install(new_manifest, keep_opened=True,
-                          keep_quarantine=True)
+            self._install(new_manifest, keep_quarantine=True)
             return new_version
 
     def compact(self, num_shards: int | None = None,
@@ -759,10 +766,12 @@ class ShardStore:
 
         What a remote worker does when a request names a newer committed
         version than it holds: the manifest may have moved on since this
-        process opened it.  The open shards are dropped, as shard indices
-        may have changed; the checks of files the new manifest still lists
-        under the same checksum are kept, so after an append only the new
-        segment's files are read again.
+        process opened it.  An open shard is kept while the new manifest
+        gives its index the same spec and its files the same checksums,
+        and so are the checks of every file still listed under the same
+        checksum: after an append only the new segment's files are read
+        and mapped again, while a compaction or a rollback re-opens the
+        shard indices it changed.
         """
         with self._mutate_lock:
             manifest = json.loads((self.root / MANIFEST_NAME).read_text())

@@ -421,3 +421,48 @@ def test_property_segment_softmax_probabilities(n, k):
     assert np.all(out.data > 0) and np.all(out.data <= 1.0 + 1e-12)
     for seg_id in np.unique(seg):
         assert out.data[seg == seg_id].sum() == pytest.approx(1.0)
+
+
+@st.composite
+def _gather_cases(draw):
+    """(indices, grad, rows, dtype) with repeats, unsorted, one-row and
+    empty index arrays over 2-D and 3-D operands."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rows = draw(st.integers(min_value=1, max_value=8))
+    tail = draw(st.sampled_from([(3,), (2, 3)]))
+    pattern = draw(st.sampled_from(["random", "one-row", "empty"]))
+    count = 0 if pattern == "empty" else draw(st.integers(1, 40))
+    if pattern == "one-row":
+        indices = np.full(count, draw(st.integers(0, rows - 1)))
+    else:
+        indices = np.array(draw(st.lists(st.integers(0, rows - 1),
+                                         min_size=count, max_size=count)),
+                           dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Mixed magnitudes, so a different summation order shows in the bits.
+    shape = (count,) + tail
+    grad = (rng.standard_normal(shape)
+            * 10.0 ** rng.integers(-6, 7, size=shape)).astype(dtype)
+    return indices, grad, rows, dtype
+
+
+@settings(max_examples=80, deadline=None)
+@given(_gather_cases())
+def test_property_gather_rows_backward_is_add_at_bitwise(case):
+    indices, grad, rows, dtype = case
+    reference = np.zeros((rows,) + grad.shape[1:], dtype=dtype)
+    np.add.at(reference, indices, grad)
+    x = Tensor(np.zeros(reference.shape), requires_grad=True)
+    x.data = x.data.astype(dtype)
+    out = Tensor(np.zeros(grad.shape))
+    out.grad = grad
+    ctx = {"indices": indices}
+    for _ in range(2):      # the second call reuses the cached matrix
+        (scattered,) = F._gather_rows_backward(ctx, out, x)
+        assert scattered.dtype == dtype
+        assert scattered.tobytes() == reference.tobytes()
+    if dtype == np.float64:
+        # The same bits through the public op and the eager engine.
+        x = Tensor(np.zeros(reference.shape), requires_grad=True)
+        F.gather_rows(x, indices).backward(grad)
+        assert x.grad.tobytes() == reference.tobytes()

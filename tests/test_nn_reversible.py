@@ -159,6 +159,28 @@ class TestInvertibleCheckpoint:
         for a, b in zip(first_grads, second_grads):
             np.testing.assert_array_equal(a, b)
 
+    def test_taped_backward_equals_eager_bitwise(self, rng):
+        """Both checkpoints capture (w1, w2), so their gradients meet.  The
+        tape's buffers must stay out of each checkpoint's nested eager
+        backward: one that wrote into them would overwrite the first
+        checkpoint's share and then add the buffer to itself."""
+        w1, w2, x0, fn, fn_inverse = self._setup(rng)
+
+        def build():
+            mid = F.invertible_checkpoint(fn, fn_inverse, x0, (w1, w2))
+            out = F.invertible_checkpoint(fn, fn_inverse, mid, (w1, w2))
+            return (out ** 2).sum()
+
+        build().backward()
+        eager = [t.grad.tobytes() for t in (x0, w1, w2)]
+        for t in (x0, w1, w2):
+            t.grad = None
+        tape = Tape.record(build)
+        for _ in range(2):          # the second pass reuses the buffers
+            tape.forward()
+            tape.backward()
+            assert [t.grad.tobytes() for t in (x0, w1, w2)] == eager
+
     def test_transient_tape_root_is_freed_after_backward(self, rng):
         """Checkpoint outputs carry no pinned tape buffer: backward frees
         them, and the next ``forward()`` recomputes fresh data."""
@@ -223,6 +245,26 @@ class TestReversibleEncoder:
         assert first_root == second_root
         for a, b in zip(first_grads, second_grads):
             np.testing.assert_array_equal(a, b)
+
+    def test_taped_backward_equals_eager_bitwise(self, setup):
+        """Every block's checkpoint captures the node embedding: the taped
+        gradients equal the eager checkpointed backward's bits."""
+        encoder, hg = setup
+        encoder.recompute = True
+
+        def loss():
+            return (encoder.encode_hypergraph(hg) ** 2).sum()
+
+        loss().backward()
+        eager = {name: p.grad.tobytes()
+                 for name, p in encoder.named_parameters()}
+        encoder.zero_grad()
+        tape = Tape.record(loss)
+        for _ in range(2):
+            tape.forward()
+            tape.backward()
+            for name, param in encoder.named_parameters():
+                assert param.grad.tobytes() == eager[name], name
 
     def test_context_subset_reencode_matches_full(self, setup):
         encoder, hg = setup

@@ -123,6 +123,112 @@ class TestTapeMechanics:
             Tape.record(build)
 
 
+def _tape_and_eager_grads(build, tensors):
+    """Gradient bytes of ``tensors`` from a tape's backward (its second
+    pass, so reused buffers are covered) and from the eager engine, which
+    runs first so no tape state can reach it."""
+    build().backward()
+    eager = [t.grad.tobytes() for t in tensors]
+    for t in tensors:
+        t.grad = None
+    tape = Tape.record(build)
+    tape.backward()
+    tape.forward()
+    tape.backward()
+    return [t.grad.tobytes() for t in tensors], eager
+
+
+class TestTapeGradientEdges:
+    """Where gradients meet, alias or go missing, the tape's writes must
+    give the eager engine's bits."""
+
+    def test_tensor_consumed_twice_by_one_op(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+
+        def build():
+            hidden = x @ w
+            # One op, two edges: into an intermediate and into a leaf.
+            return (hidden * hidden).sum() + (x * x).sum()
+
+        taped, eager = _tape_and_eager_grads(build, [x, w])
+        assert taped == eager
+
+    def test_embedding_table_read_by_both_pair_gathers(self):
+        rng = np.random.default_rng(12)
+        features = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        w_enc = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        w_dec = Tensor(rng.standard_normal((4, 1)), requires_grad=True)
+        pairs = rng.integers(0, 6, size=(40, 2))
+        labels = rng.integers(0, 2, size=40).astype(float)
+
+        def build():
+            table = F.tanh(features @ w_enc)
+            left = F.gather_rows(table, pairs[:, 0])
+            right = F.gather_rows(table, pairs[:, 1])
+            logits = ((left * right) @ w_dec).reshape(-1)
+            return bce_with_logits(logits, labels)
+
+        taped, eager = _tape_and_eager_grads(build, [features, w_enc, w_dec])
+        assert taped == eager
+
+    def test_tensor_whose_consumer_returns_none_ends_with_zeros(self):
+        from repro.nn.tensor import apply_op
+
+        rng = np.random.default_rng(13)
+        a = Tensor(rng.standard_normal(5), requires_grad=True)
+        b = Tensor(rng.standard_normal(5), requires_grad=True)
+
+        def build():
+            # An op that passes no gradient to its first operand.
+            mixed = apply_op(
+                "stop_first", (a, b),
+                lambda ctx, x, y, out=None: np.add(x, y, out=out),
+                lambda ctx, out, x, y: (None, out.grad))
+            return (mixed * 2.0).sum()
+
+        tape = Tape.record(build)
+        tape.backward()
+        # A zero grad, not None: Adam applies weight decay to it.
+        assert a.grad is not None
+        assert a.grad.tobytes() == np.zeros(5).tobytes()
+        taped_b = b.grad.tobytes()
+        a.grad = b.grad = None
+        build().backward()
+        assert a.grad is None
+        assert taped_b == b.grad.tobytes()
+
+    def test_second_backward_gives_the_same_grads(self):
+        build, params = _make_graph(seed=4)
+        tape = Tape.record(build)
+        tape.backward()
+        first = [p.grad.tobytes() for p in params]
+        tape.backward()
+        assert [p.grad.tobytes() for p in params] == first
+
+    def test_parameter_grads_survive_the_following_forwards(self,
+                                                             training_problem):
+        corpus, pairs, labels, split = training_problem
+        config = HyGNNConfig(parameter=4, embed_dim=16, hidden_dim=16,
+                             seed=5)
+        model, hypergraph, _ = HyGNN.for_corpus(corpus, config)
+        model.train()
+        tape, embeddings = model.compile_training(
+            hypergraph, pairs[split.train], labels[split.train])
+        val_leaf = Tensor(embeddings.data, requires_grad=True)
+        val_tape = Tape.record(lambda: bce_with_logits(
+            model.score_pairs(val_leaf, pairs[split.val]),
+            labels[split.val]))
+        tape.backward()
+        before = {name: p.grad.tobytes()
+                  for name, p in model.named_parameters()}
+        tape.forward()
+        val_tape.forward({val_leaf: embeddings.data})
+        for name, param in model.named_parameters():
+            assert param.grad.tobytes() == before[name], name
+
+
 class TestTapeReplayTraining:
     def test_replay_training_matches_eager_loop_bitwise(self):
         """10 Adam steps by tape replay == 10 eager re-traced steps."""

@@ -964,6 +964,69 @@ class TestStoreIdentity:
         assert stats["version_skews"] == 1
         assert stats["local_fallbacks"] == 0
 
+    def test_reload_keeps_the_unchanged_open_shards(self, setup, tmp_path,
+                                                    monkeypatch):
+        """A worker that reloads keeps every open shard whose spec and
+        checksums the new manifest leaves as they were: after an append it
+        maps only the new segment, after a compaction or a rollback only
+        the shard indices that changed, and answers as the in-process
+        catalog does."""
+        corpus, _, model, builder = setup
+        service = DDIScreeningService(model, builder, corpus, num_shards=2)
+        manifest = service.save_shards(tmp_path / "store")
+        assert service.open_shards(manifest, strict=True)
+        twin = DDIScreeningService(model, builder, corpus)
+        loaded = []
+        load = store_module.ShardStore._load
+
+        def worker_load(self, name, *args, **kwargs):
+            if threading.current_thread().name.endswith(
+                    "(process_request_thread)"):
+                loaded.append(name)
+            return load(self, name, *args, **kwargs)
+
+        def changed_files(before, after):
+            names = []
+            for index, spec in enumerate(after["shards"]):
+                if index >= len(before["shards"]) \
+                        or spec != before["shards"][index]:
+                    names += [spec["embeddings"],
+                              *spec["projections"].values()]
+            return sorted(names)
+
+        def screen_after(mutate):
+            before = json.loads(json.dumps(service.shard_store.manifest))
+            mutate()
+            loaded.clear()
+            queries = [0, 7, "late"]
+            assert _hits(service.screen_batch(queries, top_k=4)) == \
+                _hits(twin.screen_batch(queries, top_k=4))
+            return sorted(loaded), changed_files(
+                before, service.shard_store.manifest)
+
+        monkeypatch.setattr(store_module.ShardStore, "_load", worker_load)
+        with ShardWorker(manifest) as worker:
+            remote = service.connect_workers([worker])
+            try:
+                service.screen_batch([0], top_k=4)
+                loaded_files, changed = screen_after(
+                    lambda: [target.register_drug("CCOCC", drug_id="late")
+                             for target in (service, twin)])
+                assert loaded_files == changed
+                assert loaded_files and all(
+                    name.startswith("seg_v000001.") for name in loaded_files)
+                appended = service.shard_store.version
+                loaded_files, changed = screen_after(service.compact_shards)
+                assert loaded_files == changed and changed
+                loaded_files, changed = screen_after(
+                    lambda: service.rollback_catalog(appended))
+                assert loaded_files == changed and changed
+                stats = dict(remote.stats)
+            finally:
+                service.close()
+        assert stats["worker_reloads"] == 3
+        assert stats["local_fallbacks"] == 0
+
     def test_worker_on_another_catalog_is_excluded(self, setup, tmp_path):
         """A worker on another catalog saved under the same weights is no
         lagging replica, although it holds an older version: once this
